@@ -17,9 +17,9 @@ from .corpus import (
     FrequencyTable,
     TokenizerConfig,
     count_frequencies,
+    count_stream,
     merge,
     read_text,
-    table_from_files,
     tokenize,
 )
 from .errors import BoundNotApplicableError, EmptyCorpusError, InsufficientPointsError
@@ -55,6 +55,7 @@ __all__ = [
     "build_report",
     "chain_check",
     "count_frequencies",
+    "count_stream",
     "entropy",
     "entropy_from_spectrum",
     "entropy_upper_bound",
@@ -72,6 +73,5 @@ __all__ = [
     "spectrum_to_points",
     "sweep",
     "sweep_csv",
-    "table_from_files",
     "tokenize",
 ]

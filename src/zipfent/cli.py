@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import BinaryIO, Iterator
 
 from . import synth
-from .corpus import TokenizerConfig, count_frequencies, merge, read_text, tokenize
+from .corpus import TokenizerConfig, count_stream
+# Not used here, but bench/tracer.py wraps these names on this module.
+from .corpus import count_frequencies, merge, read_text, tokenize  # noqa: F401
 from .errors import EmptyCorpusError
 from .report import build_report, report_json, report_text
 from .spectrum import freq_of_freq, spectrum_csv
@@ -84,11 +87,14 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_inputs(paths: list[str]) -> list[tuple[str, str]]:
-    """(label, text) pairs; the label is the path, or "-" for stdin."""
+def _open_inputs(paths: list[str]) -> Iterator[tuple[str, BinaryIO]]:
+    """(label, binary file) pairs, opened one at a time; "-" labels stdin."""
     if not paths:
-        return [("-", sys.stdin.buffer.read().decode("utf-8", errors="replace"))]
-    return [(p, read_text(p)) for p in paths]
+        yield "-", sys.stdin.buffer
+        return
+    for p in paths:
+        with open(p, "rb") as f:
+            yield p, f
 
 
 def _cmd_analyze(args) -> int:
@@ -99,16 +105,20 @@ def _cmd_analyze(args) -> int:
         min_token_length=args.min_token_len,
         token_rule=args.token_rule,
     )
-    inputs = _read_inputs(args.paths)
     status = EXIT_OK
 
     if args.per_file:
-        reports = []
-        for label, text in inputs:
-            table = count_frequencies(tokenize(text, config))
+        # every input is read before an empty one is reported, so an I/O
+        # error on a later input takes precedence
+        reports, empty = [], []
+        for label, f in _open_inputs(args.paths):
+            table = count_stream([f], config)
             if table.is_empty():
-                raise EmptyCorpusError(f"empty corpus: {label}")
-            reports.append(build_report(table, config, [label], args.fit_kmin, args.fit_kmax))
+                empty.append(label)
+            else:
+                reports.append(build_report(table, config, [label], args.fit_kmin, args.fit_kmax))
+        if empty:
+            raise EmptyCorpusError(f"empty corpus: {empty[0]}")
         for rep in reports:
             if "error" in rep["fit"]:
                 print(f"zipfent: {rep['config']['inputs'][0]}: {rep['fit']['error']}", file=sys.stderr)
@@ -120,11 +130,10 @@ def _cmd_analyze(args) -> int:
             _emit("\n".join(blocks), args.out)
         return status
 
-    table = merge(count_frequencies(tokenize(text, config)) for _, text in inputs)
+    table = count_stream((f for _, f in _open_inputs(args.paths)), config)
     if table.is_empty():
         raise EmptyCorpusError("empty corpus")
-    labels = [label for label, _ in inputs]
-    rep = build_report(table, config, labels, args.fit_kmin, args.fit_kmax)
+    rep = build_report(table, config, args.paths or ["-"], args.fit_kmin, args.fit_kmax)
     if "error" in rep["fit"]:
         print(f"zipfent: {rep['fit']['error']}", file=sys.stderr)
         status = EXIT_DATA

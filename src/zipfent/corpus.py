@@ -1,23 +1,29 @@
 """Tokenization and word-frequency counting for pooled text corpora.
 
 All words from all inputs are pooled into a single corpus; there is no
-per-document bookkeeping.  Tables are immutable once built and safe to share
-across threads; ``merge`` is the only combination point and is insensitive to
-the order of its arguments.
+per-document bookkeeping.  ``count_stream`` is the ingestion path for files:
+it counts them chunk by chunk, so memory grows with the vocabulary, not with
+the input.  Tables are immutable once built and safe to share across
+threads; ``merge`` sums them and is insensitive to the order of its
+arguments.
 """
 
 from __future__ import annotations
 
+import codecs
 import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import BinaryIO, Iterable
 
 TOKEN_RULES = ("unicode_words", "whitespace")
 
 # Runs of Unicode word characters (letters, digits, underscore).
 _WORD_RE = re.compile(r"\w+")
+
+# Bytes read per chunk by count_stream.
+CHUNK_SIZE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -108,6 +114,46 @@ def read_text(path: str | Path) -> str:
         return f.read()
 
 
-def table_from_files(paths: Iterable[str | Path], config: TokenizerConfig = DEFAULT_CONFIG) -> FrequencyTable:
-    """Tokenize and count each file, then pool the per-file tables."""
-    return merge(count_frequencies(tokenize(read_text(p), config)) for p in paths)
+def count_stream(
+    files: Iterable[BinaryIO], config: TokenizerConfig = DEFAULT_CONFIG, chunk_size: int | None = None
+) -> FrequencyTable:
+    """Count the words of binary UTF-8 files, read in order, pooled into one table.
+
+    Equal to merging ``count_frequencies(tokenize(text, config))`` over the
+    decoded text of each file, but holds no more than one chunk of text at a
+    time: invalid bytes decode to U+FFFD exactly as a one-shot decode would,
+    and a word cut by the end of a chunk is carried into the next one.
+    Memory grows with the vocabulary, not with the input.  ``chunk_size``
+    is in bytes, ``CHUNK_SIZE`` when None.
+    """
+    if config.token_rule == "whitespace":
+        split, in_token = str.split, lambda c: not c.isspace()
+    else:
+        split, in_token = _WORD_RE.findall, _WORD_RE.match
+    if chunk_size is None:
+        chunk_size = CHUNK_SIZE
+    counts: Counter[str] = Counter()
+    for f in files:
+        decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
+        carry = ""  # the last word of the text so far, which may go on
+        while True:
+            raw = f.read(chunk_size)
+            text = decoder.decode(raw, not raw)
+            tokens = split(text)
+            if carry:
+                # joined to the chunk's first word only, so a long word is
+                # not scanned again with every chunk
+                if text and in_token(text[0]):
+                    tokens[0] = carry + tokens[0]
+                else:
+                    tokens.insert(0, carry)
+                carry = ""
+            if raw and tokens and (not text or in_token(text[-1])):
+                carry = tokens.pop()
+            counts.update(map(str.casefold, tokens) if config.lowercase else tokens)
+            if not raw:
+                break
+    if config.min_token_length > 1:
+        n = config.min_token_length
+        return FrequencyTable.from_counts({w: c for w, c in counts.items() if len(w) >= n})
+    return FrequencyTable.from_counts(counts)

@@ -31,8 +31,8 @@ class SyntheticSpec:
     """Parameters of a generated power-law spectrum F(k) = e^b k^-a.
 
     Generation is refused for a < 1 (outside the regime the entropy ceiling
-    covers) and for b < 0 (no k would reach F(k) >= 1, leaving the spectrum
-    empty).
+    covers), for b < 0 (no k would reach F(k) >= 1, leaving the spectrum
+    empty) and for infinite b (no finite spectrum).
     """
 
     a: float
@@ -47,6 +47,8 @@ class SyntheticSpec:
             raise ValueError(
                 f"intercept b must be >= 0 (smaller values yield an empty spectrum), got {self.b}"
             )
+        if not math.isfinite(self.b):
+            raise ValueError(f"intercept b must be finite, got {self.b}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.k_cap is not None and self.k_cap < 1:
@@ -61,8 +63,11 @@ def _law_k_max(a: float, b: float) -> int:
     # Largest k with e^b k^-a >= 1, i.e. floor(e^(b/a)); seeded from the
     # closed form and nudged so the cut sits exactly where the evaluated law
     # crosses 1.
-    k = max(1, math.floor(math.exp(b / a)))
-    eb = math.exp(b)
+    try:
+        k = max(1, math.floor(math.exp(b / a)))
+        eb = math.exp(b)
+    except OverflowError:
+        raise ValueError(f"e^b overflows a float for a={a}, b={b}") from None
     while eb * (k + 1) ** (-a) >= 1.0:
         k += 1
     while k > 1 and eb * k ** (-a) < 1.0:

@@ -9,6 +9,7 @@ import sys
 import jsonschema
 import pytest
 
+from zipfent import corpus
 from zipfent.cli import main
 from zipfent.report import report_schema
 
@@ -77,6 +78,38 @@ def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--format", "yaml"])
     assert exc.value.code == 1
+
+
+def test_analyze_stdin_and_file_agree_across_chunk_edges(tmp_path, monkeypatch, capsys):
+    data = "caf\u00e9 Caf\u00e9 na\u00efve caf\u00e9 the the\n".encode("utf-8")
+    path = tmp_path / "c.txt"
+    path.write_bytes(data)
+    code, default_out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    monkeypatch.setattr(corpus, "CHUNK_SIZE", 4)
+    # the first chunk edge falls inside both the word "caf\u00e9" and the
+    # two-byte encoding of its last letter
+    assert data[:4] == b"caf\xc3"
+    code, file_out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    feed_stdin(monkeypatch, data)
+    code, stdin_out, _ = run_cli(capsys, "analyze")
+    assert code == 0
+    # the reports differ only in the input label
+    assert stdin_out == file_out.replace(json.dumps(str(path)), '"-"')
+    assert file_out == default_out
+    assert json.loads(stdin_out)["vocab_size"] == 3
+
+
+@pytest.mark.parametrize("first", [b"a a b", b""])
+def test_analyze_per_file_missing_input_writes_nothing(tmp_path, capsys, first):
+    # the I/O error also wins over an earlier empty input
+    path = tmp_path / "first.txt"
+    path.write_bytes(first)
+    code, out, err = run_cli(capsys, "analyze", "--per-file", str(path), str(tmp_path / "missing.txt"))
+    assert code == 3
+    assert out == ""
+    assert "missing.txt" in err
 
 
 def test_analyze_pools_multiple_files(tmp_path, capsys):
@@ -254,6 +287,24 @@ def test_sweep_bad_grid_value(capsys):
     code, _, err = run_cli(capsys, "sweep", "--a", "1,zz", "--b", "4")
     assert code == 1
     assert "invalid grid value" in err
+
+
+@pytest.mark.parametrize("b", ["800", "inf"])
+def test_sweep_overflowing_intercept_is_a_cell_error(capsys, b):
+    # e^b overflows a float: the cell is recorded as an error row, the sweep
+    # still succeeds, and no exception escapes main
+    code, out, err = run_cli(capsys, "sweep", "--a", "1", "--b", b)
+    assert code == 0
+    assert out.splitlines()[1] == f"1.0,{float(b)},,,,,,,,,"
+    assert err.startswith(f"zipfent: sweep cell a=1.0 b={float(b)}: ")
+    assert err.count("\n") == 1
+
+
+def test_gen_infinite_intercept_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "gen", "--a", "1", "--b", "inf")
+    assert code == 1
+    assert out == ""
+    assert err == "zipfent: error: intercept b must be finite, got inf\n"
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -1,13 +1,17 @@
 """Tokenizer and frequency-table behavior."""
 
+import io
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from zipfent.corpus import (
+    TOKEN_RULES,
     FrequencyTable,
     TokenizerConfig,
     count_frequencies,
+    count_stream,
     merge,
     tokenize,
 )
@@ -120,3 +124,54 @@ def test_merge_equals_counting_the_concatenation(tokens, cut):
 def test_tokenize_deterministic(text):
     config = TokenizerConfig()
     assert tokenize(text, config) == tokenize(text, config)
+
+
+# Byte fragments that stress chunked decoding and tokenizing: ASCII words,
+# separators and whitespace (including non-ASCII whitespace), astral letters
+# and symbols, combining marks, letters whose case fold changes their length,
+# and invalid or truncated UTF-8 sequences.
+_FRAGMENTS = [
+    s.encode("utf-8")
+    for s in ["a", "Zq", "_", "7", " ", "\n", "\t", ".", "-", "\u00a0", "\u3000", "\x1c",
+              "\U0001d518", "\U00010400", "\U0001f600", "\u00e9", "\u0301", "\u0332",
+              "\u00df", "\u0130", "\ufb01", "\u00c9", "\u5317"]
+] + [b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9f", b"\xf0\x9f\x98", b"\xed\xa0\x80", b"\xc0\xaf"]
+
+_stream_bytes = st.lists(
+    st.one_of(st.sampled_from(_FRAGMENTS), st.binary(max_size=3)), max_size=25
+).map(b"".join)
+
+_configs = st.builds(
+    TokenizerConfig,
+    lowercase=st.booleans(),
+    min_token_length=st.integers(min_value=1, max_value=3),
+    token_rule=st.sampled_from(TOKEN_RULES),
+)
+
+
+def _one_shot(data: bytes, config: TokenizerConfig) -> dict[str, int]:
+    return count_frequencies(tokenize(data.decode("utf-8", "replace"), config)).counts
+
+
+@given(_stream_bytes, _configs)
+def test_count_stream_equals_one_shot_count_at_every_chunk_size(data, config):
+    expected = _one_shot(data, config)
+    for chunk_size in range(1, len(data) + 2):
+        assert count_stream([io.BytesIO(data)], config, chunk_size).counts == expected
+
+
+@given(st.lists(_stream_bytes, min_size=1, max_size=4), _configs)
+def test_count_stream_pools_files_like_their_newline_joined_concatenation(parts, config):
+    # files are separate texts: no word or byte sequence runs from one into
+    # the next, which is what joining them with a newline gives
+    expected = _one_shot(b"\n".join(parts), config)
+    for chunk_size in range(1, max(map(len, parts)) + 2):
+        files = [io.BytesIO(p) for p in parts]
+        assert count_stream(files, config, chunk_size).counts == expected
+
+
+def test_count_stream_hand_count_across_chunk_edges():
+    data = "Stra\u00dfe STRASSE caf\u00e9\u0301 x".encode("utf-8")
+    table = count_stream([io.BytesIO(data)], TokenizerConfig(), chunk_size=3)
+    assert table.counts == {"strasse": 2, "café": 1, "x": 1}
+    assert count_stream([], TokenizerConfig()).is_empty()

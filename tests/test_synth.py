@@ -12,6 +12,7 @@ from zipfent.spectrum import freq_of_freq
 from zipfent.synth import (
     SWEEP_CSV_HEADER,
     SyntheticSpec,
+    _law_k_max,
     generate_spectrum,
     spectrum_to_corpus,
     sweep,
@@ -175,3 +176,15 @@ def test_sweep_deterministic():
     r1 = sweep_csv(sweep([1.0, 1.5], [2.0, 4.0], mode="exact_real"))
     r2 = sweep_csv(sweep([1.0, 1.5], [2.0, 4.0], mode="exact_real"))
     assert r1 == r2
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 800.0), (2.0, 800.0), (1.0, 1e308)])
+def test_law_k_max_overflow_is_value_error(a, b):
+    with pytest.raises(ValueError, match="overflows"):
+        _law_k_max(a, b)
+
+
+@pytest.mark.parametrize("b", [math.inf, math.nan])
+def test_spec_rejects_non_finite_intercept(b):
+    with pytest.raises(ValueError):
+        SyntheticSpec(a=1.0, b=b)
