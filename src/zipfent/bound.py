@@ -56,10 +56,7 @@ def entropy_from_spectrum(spec: FreqSpectrum) -> EntropyValue:
     probabilities first) with fsum.
     """
     n = spec.total_tokens
-    terms = []
-    for k, f in spec.points.items():
-        p = k / n
-        terms.append(-f * p * math.log(p))
+    terms = (-f * (p := k / n) * math.log(p) for k, f in spec.points.items())
     return EntropyValue.from_nats(math.fsum(terms) + 0.0)
 
 
@@ -146,8 +143,9 @@ def chain_check(
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     e_lo = math.exp(b / a)
     e_hi = math.exp(b)
-    lower = min(k * f - e_lo for k, f in spec.points.items())
-    upper = min(e_hi - k * f for k, f in spec.points.items())
+    # rounding is monotone, so these equal min(kF - e_lo) and min(e_hi - kF) bit for bit
+    lower = min(k * f for k, f in spec.points.items()) - e_lo
+    upper = e_hi - max(k * f for k, f in spec.points.items())
     n = spec.total_tokens
     m = spec.max_k
     n_slack = n - m * e_lo

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from . import synth
 from .corpus import TokenizerConfig, count_stream
@@ -79,12 +79,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write the chunks, as they are made, to out_path or stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as f:
-            f.write(text)
+            f.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _open_inputs(paths: list[str]) -> Iterator[tuple[str, BinaryIO]]:
@@ -124,10 +125,10 @@ def _cmd_analyze(args) -> int:
                 print(f"zipfent: {rep['config']['inputs'][0]}: {rep['fit']['error']}", file=sys.stderr)
                 status = EXIT_DATA
         if args.format == "json":
-            _emit(report_json(reports), args.out)
+            _emit([report_json(reports)], args.out)
         else:
             blocks = [f"== {r['config']['inputs'][0]} ==\n" + report_text(r, args.bits) for r in reports]
-            _emit("\n".join(blocks), args.out)
+            _emit(["\n".join(blocks)], args.out)
         return status
 
     table = count_stream((f for _, f in _open_inputs(args.paths)), config)
@@ -138,22 +139,21 @@ def _cmd_analyze(args) -> int:
         print(f"zipfent: {rep['fit']['error']}", file=sys.stderr)
         status = EXIT_DATA
     if args.format == "json":
-        _emit(report_json(rep), args.out)
+        _emit([report_json(rep)], args.out)
     elif args.format == "csv":
-        _emit(spectrum_csv(freq_of_freq(table)), args.out)
+        _emit([spectrum_csv(freq_of_freq(table))], args.out)
     else:
-        _emit(report_text(rep, args.bits), args.out)
+        _emit([report_text(rep, args.bits)], args.out)
     return status
 
 
 def _cmd_gen(args) -> int:
     spec = synth.SyntheticSpec(a=args.a, b=args.b, mode=_MODE_NAMES[args.mode], k_cap=args.k_cap)
-    spectrum = synth.generate_spectrum(spec)
     if spec.mode == "rounded_integer":
-        text = "\n".join(synth.spectrum_to_corpus(spectrum)) + "\n"
+        chunks = synth.generate_corpus(spec)
     else:
-        text = spectrum_csv(spectrum)
-    _emit(text, args.out)
+        chunks = [spectrum_csv(synth.generate_spectrum(spec))]
+    _emit(chunks, args.out)
     return EXIT_OK
 
 
@@ -177,7 +177,7 @@ def _cmd_sweep(args) -> int:
     for row in rows:
         if row.error is not None:
             print(f"zipfent: sweep cell a={row.a} b={row.b}: {row.error}", file=sys.stderr)
-    _emit(synth.sweep_csv(rows), args.out)
+    _emit([synth.sweep_csv(rows)], args.out)
     return EXIT_OK
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .corpus import FrequencyTable
@@ -17,10 +18,11 @@ class FreqSpectrum:
     Frequencies with F(k) = 0 are never stored, which keeps log F(k)
     well-defined at every stored point.  Corpus-derived spectra hold positive
     integers; synthetic law-valued spectra may hold positive reals.  Points
-    are kept sorted by k.
+    are kept sorted by k.  ``points`` is a read-only ``Mapping``: a dict for
+    corpus spectra, a compact view over the law's values for synthetic ones.
     """
 
-    points: dict[int, float]
+    points: Mapping[int, float]
     total_tokens: float  # sum of k * F(k) over the stored points
     max_k: int
 
@@ -34,22 +36,23 @@ class FreqSpectrum:
             if not (isinstance(f, (int, float)) and math.isfinite(f) and f > 0):
                 raise ValueError(f"F({k}) must be a positive finite number, got {f!r}")
         ordered = dict(sorted(points.items()))
-        if all(isinstance(f, int) for f in ordered.values()):
-            total = sum(k * f for k, f in ordered.items())
-        else:
-            total = math.fsum(k * f for k, f in ordered.items())
+        integer = all(isinstance(f, int) for f in ordered.values())
+        total = _exact_sum((k * f for k, f in ordered.items()), integer)
         return cls(points=ordered, total_tokens=total, max_k=max(ordered))
 
     @property
     def vocab_size(self) -> float:
         """Sum of F(k): how many distinct words sit behind the spectrum."""
-        values = self.points.values()
-        if all(isinstance(f, int) for f in values):
-            return sum(values)
-        return math.fsum(values)
+        return _exact_sum(self.points.values(), self.is_integer_valued())
 
     def is_integer_valued(self) -> bool:
         return all(isinstance(f, int) for f in self.points.values())
+
+
+def _exact_sum(terms: Iterable[float], integer: bool) -> float:
+    """Sum with no rounding error: int arithmetic when every term is an int
+    (word counts can pass 2^53), else the correctly rounded ``math.fsum``."""
+    return sum(terms) if integer else math.fsum(terms)
 
 
 def freq_of_freq(table: FrequencyTable) -> FreqSpectrum:

@@ -10,8 +10,9 @@ same parameters always produce the same spectrum and the same corpus.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .bound import (
     DEFAULT_CHAIN_TOLERANCE,
@@ -19,9 +20,21 @@ from .bound import (
     entropy_from_spectrum,
     entropy_upper_bound,
 )
-from .spectrum import FreqSpectrum
+from .spectrum import FreqSpectrum, _exact_sum
 
 MODES = ("exact_real", "rounded_integer")
+
+# Most points generate_spectrum builds (k_max after k_cap), checked before
+# anything is allocated: 80 MB of doubles.  Admits a=1, b=16 (8.9M points).
+MAX_LAW_POINTS = 10_000_000
+
+# Most tokens a corpus may hold, checked before any text is made: about
+# 10 GB of text.  Admits a=1, b=8.5 (23.4M tokens).
+MAX_CORPUS_TOKENS = 1_000_000_000
+
+# Corpus text is made in blocks of at most this many tokens (or one word),
+# so a large F(k) never builds one huge string.
+_BLOCK_TOKENS = 1 << 16
 
 SWEEP_CSV_HEADER = "a,b,N,M,entropy_nats,bound_nats,margin_nats,sandwich_lo,sandwich_hi,n_bound,ratio"
 
@@ -59,56 +72,140 @@ def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-def _law_k_max(a: float, b: float) -> int:
-    # Largest k with e^b k^-a >= 1, i.e. floor(e^(b/a)); seeded from the
-    # closed form and nudged so the cut sits exactly where the evaluated law
-    # crosses 1.
+def _law_k_max(a: float, b: float, cap: int = MAX_LAW_POINTS + 1) -> int:
+    # Largest k with e^b k^-a >= 1, i.e. floor(e^(b/a)), or cap if that is
+    # smaller; seeded from the closed form and nudged so the cut sits exactly
+    # where the evaluated law crosses 1.  When the seed exceeds 2 cap, the law
+    # at cap is still about 2^a >= 2, so the cut lies past cap and is not
+    # walked to: beyond 2^53 one float covers many k and the walk may not end.
     try:
         k = max(1, math.floor(math.exp(b / a)))
         eb = math.exp(b)
     except OverflowError:
         raise ValueError(f"e^b overflows a float for a={a}, b={b}") from None
+    if k > 2 * cap:
+        return cap
     while eb * (k + 1) ** (-a) >= 1.0:
         k += 1
     while k > 1 and eb * k ** (-a) < 1.0:
         k -= 1
-    return k
+    return min(k, cap)
+
+
+def _law_points(spec: SyntheticSpec) -> int:
+    """Points of the law spectrum: k_max capped by k_cap, refused above MAX_LAW_POINTS."""
+    cap = MAX_LAW_POINTS + 1 if spec.k_cap is None else min(spec.k_cap, MAX_LAW_POINTS + 1)
+    n = _law_k_max(spec.a, spec.b, cap)
+    if n > MAX_LAW_POINTS:
+        raise ValueError(
+            f"spectrum would hold more than {MAX_LAW_POINTS} points; lower b or cap k with --k-cap"
+        )
+    return n
+
+
+class _LawPoints(Mapping):
+    """Read-only k -> F(k) over one flat sequence F(1), ..., F(n): k = index + 1."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: Sequence[float]):
+        self._values = values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(1, len(self._values) + 1))
+
+    def __getitem__(self, k: int) -> float:
+        if isinstance(k, int) and 1 <= k <= len(self._values):
+            return self._values[k - 1]
+        raise KeyError(k)
+
+    def items(self) -> ItemsView:
+        return _LawItems(self)
+
+    def values(self) -> ValuesView:
+        return _LawValues(self)
+
+
+class _LawItems(ItemsView):
+    def __iter__(self):
+        return zip(range(1, len(self._mapping) + 1), self._mapping._values)
+
+
+class _LawValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._values)
 
 
 def generate_spectrum(spec: SyntheticSpec) -> FreqSpectrum:
-    """Materialize F(k) = e^b k^-a for k = 1 .. floor(e^(b/a)), capped by k_cap.
+    """F(k) = e^b k^-a for k = 1 .. floor(e^(b/a)), capped by k_cap.
 
     Beyond that domain the law drops below one word and the spectrum ends.
     In rounded_integer mode every value on the domain is >= 1 before
-    rounding, so rounding never produces an empty bin.
+    rounding, so rounding never produces an empty bin.  The values are held
+    flat, 8 bytes per point, and a spectrum of more than MAX_LAW_POINTS
+    points is refused before anything is allocated.
     """
-    k_max = _law_k_max(spec.a, spec.b)
-    if spec.k_cap is not None:
-        k_max = min(k_max, spec.k_cap)
+    n = _law_points(spec)
     eb = math.exp(spec.b)
-    law = {k: eb * k ** (-spec.a) for k in range(1, k_max + 1)}
-    if spec.mode == "exact_real":
-        return FreqSpectrum.from_points(law)
-    return FreqSpectrum.from_points({k: _round_half_up(f) for k, f in law.items()})
+    law = (eb * k ** (-spec.a) for k in range(1, n + 1))
+    rounded = spec.mode == "rounded_integer"
+    # rounded values can pass 2^63, which array("q") cannot hold
+    values = [_round_half_up(f) for f in law] if rounded else array("d", law)
+    # valid and sorted by construction, so FreqSpectrum.from_points is skipped
+    total = _exact_sum((k * f for k, f in enumerate(values, 1)), rounded)
+    return FreqSpectrum(points=_LawPoints(values), total_tokens=total, max_k=n)
 
 
-def spectrum_to_corpus(spec: FreqSpectrum) -> list[str]:
-    """Token stream realizing an integer spectrum.
+def _check_corpus_tokens(tokens: int) -> None:
+    if tokens > MAX_CORPUS_TOKENS:
+        raise ValueError(
+            f"corpus would hold more than {MAX_CORPUS_TOKENS} tokens; lower b or cap k with --k-cap"
+        )
+
+
+def _corpus_blocks(points: Mapping[int, int]) -> Iterator[str]:
+    first = 0  # number of the next fresh word
+    for k, count in points.items():
+        step = max(1, _BLOCK_TOKENS // k)
+        for lo in range(first, first + count, step):
+            yield "".join(f"w{i}\n" * k for i in range(lo, min(lo + step, first + count)))
+        first += count
+
+
+def corpus_text(spec: FreqSpectrum) -> Iterator[str]:
+    """Text of the corpus realizing an integer spectrum, one token per line.
 
     For each stored k (ascending), emits F(k) fresh synthetic words (w0, w1,
     ...) repeated k times each, so counting the result reproduces the
-    spectrum exactly.  Real-valued spectra have no realizable corpus and are
-    rejected.
+    spectrum exactly.  The text comes in blocks of one k's words, at most
+    _BLOCK_TOKENS tokens or one word each.  Real-valued spectra have no
+    realizable corpus, and corpora above MAX_CORPUS_TOKENS tokens are
+    refused; both before any text is made.
     """
     if not spec.is_integer_valued():
         raise ValueError("only integer-valued spectra can be materialized as a corpus")
-    tokens: list[str] = []
-    next_word = 0
-    for k, count in spec.points.items():
-        for _ in range(count):
-            tokens.extend([f"w{next_word}"] * k)
-            next_word += 1
-    return tokens
+    _check_corpus_tokens(spec.total_tokens)
+    return _corpus_blocks(spec.points)
+
+
+def spectrum_to_corpus(spec: FreqSpectrum) -> list[str]:
+    """Token stream realizing an integer spectrum: the tokens of corpus_text(spec)."""
+    return "".join(corpus_text(spec)).split()
+
+
+def generate_corpus(spec: SyntheticSpec) -> Iterator[str]:
+    """corpus_text of the law spectrum of spec, made as it is consumed.
+
+    Every point holds at least one word, so n points make at least n(n+1)/2
+    tokens: a corpus that this already puts above MAX_CORPUS_TOKENS is
+    refused before its spectrum is built.
+    """
+    n = _law_points(spec)
+    _check_corpus_tokens(n * (n + 1) // 2)
+    return corpus_text(generate_spectrum(spec))
 
 
 def rounding_tolerance(a: float, b: float) -> float:

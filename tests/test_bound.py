@@ -190,3 +190,34 @@ def test_chain_fit_of_rising_spectrum_is_inapplicable():
 def test_chain_tolerance_validation():
     with pytest.raises(ValueError):
         chain_check(law_spectrum(1.0, 2.0), 1.0, 2.0, tolerance=-1e-3)
+
+
+def _old_sandwich_slacks(spec, a, b):
+    """The two-min sandwich slacks chain_check computed term by term."""
+    e_lo = math.exp(b / a)
+    e_hi = math.exp(b)
+    lower = min(k * f - e_lo for k, f in spec.points.items())
+    upper = min(e_hi - k * f for k, f in spec.points.items())
+    return lower, upper
+
+
+_ks = st.integers(1, 10**9)
+# integer spectra (counts past 2^53 included), and real or mixed ones
+_spectra = st.one_of(
+    st.dictionaries(_ks, st.integers(1, 10**30), min_size=1, max_size=30),
+    st.dictionaries(
+        _ks,
+        st.one_of(st.integers(1, 10**6), st.floats(1e-300, 1e300)),
+        min_size=1,
+        max_size=30,
+    ),
+)
+
+
+@given(_spectra, st.floats(1.0, 50.0), st.floats(0.0, 300.0))
+def test_chain_sandwich_equals_termwise_min_bit_for_bit(points, a, b):
+    spec = FreqSpectrum.from_points(points)
+    chain = chain_check(spec, a, b)
+    lower, upper = _old_sandwich_slacks(spec, a, b)
+    assert chain.sandwich_lower.slack.hex() == lower.hex()
+    assert chain.sandwich_upper.slack.hex() == upper.hex()

@@ -1,17 +1,23 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 import math
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zipfent import corpus
 from zipfent.cli import main
 from zipfent.report import report_schema
+from zipfent.spectrum import FreqSpectrum, spectrum_csv
+from zipfent.synth import SyntheticSpec, _law_k_max, generate_spectrum, spectrum_to_corpus
 
 
 def run_cli(capsys, *argv):
@@ -317,3 +323,73 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n_tokens"] == 3
+
+
+@pytest.mark.parametrize("a, b, k_cap", [(1.0, 0.0, None), (1.0, 5.0, None), (1.5, 6.0, 20), (2.0, 7.5, 3)])
+def test_gen_rounded_streams_the_token_list(tmp_path, capsys, a, b, k_cap):
+    spec = SyntheticSpec(a=a, b=b, mode="rounded_integer", k_cap=k_cap)
+    expected = "\n".join(spectrum_to_corpus(generate_spectrum(spec))) + "\n"
+    argv = ["gen", "--a", str(a), "--b", str(b)] + ([] if k_cap is None else ["--k-cap", str(k_cap)])
+    assert run_cli(capsys, *argv) == (0, expected, "")
+    target = tmp_path / "corpus.txt"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == expected.encode()
+
+
+def test_gen_exact_csv_matches_dict_spectrum(capsys):
+    eb = math.exp(3.0)
+    law = FreqSpectrum.from_points({k: eb * k ** -1.5 for k in range(1, _law_k_max(1.5, 3.0) + 1)})
+    assert run_cli(capsys, "gen", "--a", "1.5", "--b", "3", "--mode", "exact") == (0, spectrum_csv(law), "")
+
+
+def test_sweep_oversized_spectrum_is_a_cell_error(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sweep", "--a", "1", "--b", "40")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.splitlines()[1] == "1.0,40.0,,,,,,,,,"
+    assert err.startswith("zipfent: sweep cell a=1.0 b=40.0: ") and "--k-cap" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--a", "1", "--b", "14"], ["--a", "1", "--b", "50", "--k-cap", "2"]])
+def test_gen_oversized_corpus_is_refused_before_output(tmp_path, capsys, argv):
+    target = tmp_path / "corpus.txt"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "gen", *argv, "--out", str(target))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == "" and not target.exists()
+    assert err.startswith("zipfent: error: ") and "--k-cap" in err
+    assert err.count("\n") == 1
+
+
+_EDGE_VALUES = ["-1", "-0.5", "0", "nan", "inf", "-inf", "40", "800", "1e308"]
+# with these slopes, b = 40 is refused or makes at most 2 points, so every
+# accepted call stays small
+_SLOPES = st.sampled_from(["0.5", "1", "1.5", "2"] + _EDGE_VALUES)
+_INTERCEPTS = st.sampled_from(["0.5", "1", "2", "3"] + _EDGE_VALUES)
+
+
+@settings(deadline=None)
+@given(
+    command=st.sampled_from(["gen", "sweep"]),
+    a=st.lists(_SLOPES, min_size=1, max_size=3),
+    b=st.lists(_INTERCEPTS, min_size=1, max_size=3),
+    mode=st.sampled_from(["exact", "rounded"]),
+    k_cap=st.one_of(st.none(), st.sampled_from(["1", "2", "5"] + _EDGE_VALUES)),
+)
+def test_gen_and_sweep_end_with_an_exit_code_never_an_exception(command, a, b, mode, k_cap):
+    if command == "gen":
+        argv = ["gen", f"--a={a[0]}", f"--b={b[0]}"]
+    else:
+        argv = ["sweep", f"--a={','.join(a)}", f"--b={','.join(b)}"]
+    argv += ["--mode", mode] + ([] if k_cap is None else [f"--k-cap={k_cap}"])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage exit
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -4,20 +4,75 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zipfent import synth
 from zipfent.bound import chain_check, entropy_from_spectrum, entropy_upper_bound
 from zipfent.corpus import count_frequencies
+from zipfent.errors import InsufficientPointsError
 from zipfent.fit import fit_loglog
-from zipfent.spectrum import freq_of_freq
+from zipfent.spectrum import FreqSpectrum, freq_of_freq, spectrum_csv
 from zipfent.synth import (
+    MAX_CORPUS_TOKENS,
+    MAX_LAW_POINTS,
+    MODES,
     SWEEP_CSV_HEADER,
     SyntheticSpec,
     _law_k_max,
+    _law_points,
+    corpus_text,
+    generate_corpus,
     generate_spectrum,
     spectrum_to_corpus,
     sweep,
     sweep_csv,
 )
+
+
+def law_oracle(spec: SyntheticSpec) -> FreqSpectrum:
+    """The dict construction generate_spectrum replaced, kept as its reference."""
+    k_max = _law_k_max(spec.a, spec.b)
+    if spec.k_cap is not None:
+        k_max = min(k_max, spec.k_cap)
+    eb = math.exp(spec.b)
+    law = {k: eb * k ** (-spec.a) for k in range(1, k_max + 1)}
+    if spec.mode == "exact_real":
+        return FreqSpectrum.from_points(law)
+    return FreqSpectrum.from_points({k: math.floor(f + 0.5) for k, f in law.items()})
+
+
+def corpus_oracle(spec: FreqSpectrum) -> list[str]:
+    """The token list construction corpus_text replaced, kept as its reference."""
+    tokens: list[str] = []
+    next_word = 0
+    for k, count in spec.points.items():
+        for _ in range(count):
+            tokens.extend([f"w{next_word}"] * k)
+            next_word += 1
+    return tokens
+
+
+def fit_or_error(spec):
+    try:
+        return fit_loglog(spec)
+    except InsufficientPointsError as exc:
+        return str(exc)
+
+
+def assert_same_spectrum(new: FreqSpectrum, old: FreqSpectrum, a: float, b: float):
+    assert new.points == old.points
+    assert list(new.points) == list(old.points)
+    assert list(new.points.items()) == list(old.points.items())
+    assert [new.points[k] for k in old.points] == list(old.points.values())
+    assert 0 not in new.points and new.max_k + 1 not in new.points
+    assert type(new.total_tokens) is type(old.total_tokens)
+    assert new.total_tokens == old.total_tokens
+    assert new.max_k == old.max_k
+    assert entropy_from_spectrum(new).nats == entropy_from_spectrum(old).nats
+    assert chain_check(new, a, b) == chain_check(old, a, b)
+    assert fit_or_error(new) == fit_or_error(old)
+    assert spectrum_csv(new) == spectrum_csv(old)  # repr of every value: types too
 
 
 def test_rounded_hand_example():
@@ -188,3 +243,77 @@ def test_law_k_max_overflow_is_value_error(a, b):
 def test_spec_rejects_non_finite_intercept(b):
     with pytest.raises(ValueError):
         SyntheticSpec(a=1.0, b=b)
+
+
+@settings(deadline=None)
+@given(
+    st.floats(1.0, 3.0),
+    st.floats(0.0, 10.0),
+    st.sampled_from(MODES),
+    st.one_of(st.none(), st.integers(1, 5000)),
+)
+def test_compact_spectrum_equals_dict_construction(a, b, mode, k_cap):
+    spec = SyntheticSpec(a=a, b=b, mode=mode, k_cap=k_cap)
+    assert_same_spectrum(generate_spectrum(spec), law_oracle(spec), a, b)
+
+
+def test_rounded_values_past_int64():
+    spec = SyntheticSpec(a=1.0, b=50.0, mode="rounded_integer", k_cap=2)
+    new = generate_spectrum(spec)
+    assert new.points[1] > 2**63 and isinstance(new.points[1], int)
+    assert_same_spectrum(new, law_oracle(spec), 1.0, 50.0)
+
+
+def test_law_point_limit_admits_b16_without_building():
+    assert _law_points(SyntheticSpec(a=1.0, b=16.0, mode="exact_real")) == 8_886_110 <= MAX_LAW_POINTS
+
+
+@pytest.mark.parametrize(
+    "a, b, k_cap",
+    [(1.0, 17.0, None), (1.0, 40.0, None), (1.0, 100.0, None), (1.0, 700.0, 10**30), (2.0, 40.0, None)],
+)
+def test_oversized_spectrum_refused(a, b, k_cap):
+    with pytest.raises(ValueError, match="--k-cap"):
+        generate_spectrum(SyntheticSpec(a=a, b=b, k_cap=k_cap))
+
+
+@pytest.mark.parametrize("b", [100.0, 700.0])
+def test_k_cap_reaches_huge_intercepts(b):
+    # the walk to k_max = floor(e^(b/a)) would never end here; k_cap stops short of it
+    spec = generate_spectrum(SyntheticSpec(a=1.0, b=b, mode="exact_real", k_cap=3))
+    eb = math.exp(b)
+    assert dict(spec.points) == {1: eb, 2: eb * 2.0**-1, 3: eb * 3.0**-1}
+    assert spec.max_k == 3
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 16])
+def test_corpus_text_equals_token_list_construction(monkeypatch, block):
+    monkeypatch.setattr(synth, "_BLOCK_TOKENS", block)
+    spectra = [FreqSpectrum.from_points({1: 5, 3: 2, 7: 1})] + [
+        generate_spectrum(SyntheticSpec(a=a, b=b, k_cap=k_cap))
+        for a, b, k_cap in [(1.0, 4.0, None), (1.5, 5.0, None), (2.0, 3.0, 2), (1.0, 6.0, 40)]
+    ]
+    for spec in spectra:
+        expected = corpus_oracle(spec)
+        blocks = list(corpus_text(spec))
+        assert "".join(blocks) == "".join(t + "\n" for t in expected)
+        assert max(b.count("\n") for b in blocks) <= max(block, spec.max_k)
+        assert spectrum_to_corpus(spec) == expected
+
+
+def test_corpus_token_limit():
+    assert generate_spectrum(SyntheticSpec(a=1.0, b=8.5)).total_tokens == 23_364_700 <= MAX_CORPUS_TOKENS
+    spec = generate_spectrum(SyntheticSpec(a=1.0, b=50.0, k_cap=2))
+    for make in (corpus_text, spectrum_to_corpus):
+        with pytest.raises(ValueError, match="--k-cap"):
+            make(spec)
+
+
+def test_generate_corpus_refuses_before_building_the_spectrum(monkeypatch):
+    def unreachable(spec):
+        raise AssertionError("spectrum built")
+
+    monkeypatch.setattr(synth, "generate_spectrum", unreachable)
+    # 1.2M points make at least 7.2e11 tokens
+    with pytest.raises(ValueError, match="--k-cap"):
+        generate_corpus(SyntheticSpec(a=1.0, b=14.0))
