@@ -3,11 +3,9 @@ entropy, and the closed-form entropy ceiling e^(b(1-1/a)) (b/a + 1) with its
 chain of supporting inequalities."""
 
 from .bound import (
-    BoundReport,
     ChainDiagnostics,
     EntropyValue,
     InequalityResult,
-    bound_report,
     chain_check,
     entropy,
     entropy_from_spectrum,
@@ -23,9 +21,9 @@ from .corpus import (
     tokenize,
 )
 from .errors import BoundNotApplicableError, EmptyCorpusError, InsufficientPointsError
-from .fit import PowerLawFit, fit_loglog, predicted_F
+from .fit import PowerLawFit, fit_loglog
 from .report import build_report, report_json, report_schema, report_text
-from .spectrum import FreqSpectrum, freq_of_freq, spectrum_csv, spectrum_to_points
+from .spectrum import FreqSpectrum, freq_of_freq, spectrum_csv
 from .synth import (
     SweepRow,
     SyntheticSpec,
@@ -39,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundNotApplicableError",
-    "BoundReport",
     "ChainDiagnostics",
     "EmptyCorpusError",
     "EntropyValue",
@@ -51,7 +48,6 @@ __all__ = [
     "SweepRow",
     "SyntheticSpec",
     "TokenizerConfig",
-    "bound_report",
     "build_report",
     "chain_check",
     "count_frequencies",
@@ -63,14 +59,12 @@ __all__ = [
     "freq_of_freq",
     "generate_spectrum",
     "merge",
-    "predicted_F",
     "read_text",
     "report_json",
     "report_schema",
     "report_text",
     "spectrum_csv",
     "spectrum_to_corpus",
-    "spectrum_to_points",
     "sweep",
     "sweep_csv",
     "tokenize",

@@ -73,27 +73,6 @@ def entropy_upper_bound(a: float, b: float) -> float:
 
 
 @dataclass(frozen=True)
-class BoundReport:
-    """Ceiling vs measured entropy; the value fields are None when a < 1."""
-
-    applicable: bool
-    a: float
-    b: float
-    bound_nats: float | None = None
-    margin_nats: float | None = None
-
-
-def bound_report(a: float, b: float, entropy_nats: float) -> BoundReport:
-    """Evaluate the ceiling against a measured entropy, tolerating a < 1."""
-    if not a >= 1:
-        return BoundReport(applicable=False, a=a, b=b)
-    value = entropy_upper_bound(a, b)
-    return BoundReport(
-        applicable=True, a=a, b=b, bound_nats=value, margin_nats=value - entropy_nats
-    )
-
-
-@dataclass(frozen=True)
 class InequalityResult:
     slack: float
     ok: bool

@@ -88,14 +88,16 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _open_inputs(paths: list[str]) -> Iterator[tuple[str, BinaryIO]]:
-    """(label, binary file) pairs, opened one at a time; "-" labels stdin."""
+def _open_inputs(paths: list[str]) -> Iterator[BinaryIO]:
+    """The binary files, opened one at a time; stdin when paths is empty."""
     if not paths:
-        yield "-", sys.stdin.buffer
+        if sys.stdin is None:  # started with file descriptor 0 closed
+            raise OSError("stdin is closed")
+        yield sys.stdin.buffer
         return
     for p in paths:
         with open(p, "rb") as f:
-            yield p, f
+            yield f
 
 
 def _cmd_analyze(args) -> int:
@@ -106,44 +108,38 @@ def _cmd_analyze(args) -> int:
         min_token_length=args.min_token_len,
         token_rule=args.token_rule,
     )
+    # pooled is one group of every input, --per-file one group per input
+    groups = [[p] for p in args.paths] if args.per_file and args.paths else [args.paths]
+    reports, empty, spectrum = [], [], None
+    for paths in groups:
+        # each table is reported, then dropped; the messages wait until every
+        # input is read, so an I/O error on a later input takes precedence
+        table = count_stream(_open_inputs(paths), config)
+        labels = paths or ["-"]
+        if table.is_empty():
+            empty.append(labels[0])
+            continue
+        reports.append(build_report(table, config, labels, args.fit_kmin, args.fit_kmax))
+        if args.format == "csv":
+            spectrum = freq_of_freq(table)
+    if empty:
+        raise EmptyCorpusError(f"empty corpus: {empty[0]}" if args.per_file else "empty corpus")
+
     status = EXIT_OK
-
-    if args.per_file:
-        # every input is read before an empty one is reported, so an I/O
-        # error on a later input takes precedence
-        reports, empty = [], []
-        for label, f in _open_inputs(args.paths):
-            table = count_stream([f], config)
-            if table.is_empty():
-                empty.append(label)
-            else:
-                reports.append(build_report(table, config, [label], args.fit_kmin, args.fit_kmax))
-        if empty:
-            raise EmptyCorpusError(f"empty corpus: {empty[0]}")
-        for rep in reports:
-            if "error" in rep["fit"]:
-                print(f"zipfent: {rep['config']['inputs'][0]}: {rep['fit']['error']}", file=sys.stderr)
-                status = EXIT_DATA
-        if args.format == "json":
-            _emit([report_json(reports)], args.out)
-        else:
-            blocks = [f"== {r['config']['inputs'][0]} ==\n" + report_text(r, args.bits) for r in reports]
-            _emit(["\n".join(blocks)], args.out)
-        return status
-
-    table = count_stream((f for _, f in _open_inputs(args.paths)), config)
-    if table.is_empty():
-        raise EmptyCorpusError("empty corpus")
-    rep = build_report(table, config, args.paths or ["-"], args.fit_kmin, args.fit_kmax)
-    if "error" in rep["fit"]:
-        print(f"zipfent: {rep['fit']['error']}", file=sys.stderr)
-        status = EXIT_DATA
+    for rep in reports:
+        if "error" in rep["fit"]:
+            where = f"{rep['config']['inputs'][0]}: " if args.per_file else ""
+            print(f"zipfent: {where}{rep['fit']['error']}", file=sys.stderr)
+            status = EXIT_DATA
     if args.format == "json":
-        _emit([report_json(rep)], args.out)
+        chunks = [report_json(reports if args.per_file else reports[0])]
     elif args.format == "csv":
-        _emit([spectrum_csv(freq_of_freq(table))], args.out)
+        chunks = spectrum_csv(spectrum)
     else:
-        _emit([report_text(rep, args.bits)], args.out)
+        header = "== {} ==\n" if args.per_file else ""
+        texts = (header.format(r["config"]["inputs"][0]) + report_text(r, args.bits) for r in reports)
+        chunks = ["\n".join(texts)]
+    _emit(chunks, args.out)
     return status
 
 
@@ -152,7 +148,7 @@ def _cmd_gen(args) -> int:
     if spec.mode == "rounded_integer":
         chunks = synth.generate_corpus(spec)
     else:
-        chunks = [spectrum_csv(synth.generate_spectrum(spec))]
+        chunks = spectrum_csv(synth.generate_spectrum(spec))
     _emit(chunks, args.out)
     return EXIT_OK
 

@@ -57,10 +57,3 @@ def fit_loglog(spec: FreqSpectrum, k_min: int = 1, k_max: int | None = None) -> 
         k_min=min(used),
         k_max=max(used),
     )
-
-
-def predicted_F(k: int, fit: PowerLawFit) -> float:
-    """Law value e^(b - a ln k) at frequency k; strictly decreasing in k for a > 0."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return math.exp(fit.b - fit.a * math.log(k))

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from importlib import resources
 
-from .bound import DEFAULT_CHAIN_TOLERANCE, bound_report, chain_check, entropy
+from .bound import chain_check, entropy, entropy_upper_bound
 from .corpus import FrequencyTable, TokenizerConfig
 from .errors import InsufficientPointsError
 from .fit import fit_loglog
@@ -18,7 +19,6 @@ def build_report(
     inputs: list[str],
     fit_kmin: int | None = None,
     fit_kmax: int | None = None,
-    tolerance: float = DEFAULT_CHAIN_TOLERANCE,
 ) -> dict:
     """Run spectrum -> entropy -> fit -> bound -> chain on a counted corpus.
 
@@ -38,43 +38,31 @@ def build_report(
             "k_min": min(spec.points),
             "k_max": spec.max_k,
         },
-        "entropy": {"nats": ent.nats, "bits": ent.bits},
+        # dataclasses as dicts: their field order is the schema's key order
+        "entropy": asdict(ent),
+        # filled in below; set here so the keys keep the schema's order
+        "fit": None,
+        "bound": None,
+        "chain": None,
     }
     try:
         fit = fit_loglog(spec, k_min=fit_kmin if fit_kmin is not None else 1, k_max=fit_kmax)
     except InsufficientPointsError as exc:
         report["fit"] = {"error": str(exc)}
-        report["bound"] = None
-        report["chain"] = None
     else:
-        report["fit"] = {
-            "a": fit.a,
-            "b": fit.b,
-            "rmse": fit.rmse,
-            "points_used": fit.points_used,
-            "k_min": fit.k_min,
-            "k_max": fit.k_max,
-        }
-        br = bound_report(fit.a, fit.b, ent.nats)
-        if br.applicable:
+        report["fit"] = asdict(fit)
+        if fit.a >= 1:
+            value = entropy_upper_bound(fit.a, fit.b)
             report["bound"] = {
                 "applicable": True,
-                "value_nats": br.bound_nats,
-                "margin_nats": br.margin_nats,
-                "a": br.a,
-                "b": br.b,
+                "value_nats": value,
+                "margin_nats": value - ent.nats,
+                "a": fit.a,
+                "b": fit.b,
             }
-            chain = chain_check(spec, fit.a, fit.b, tolerance=tolerance)
-            report["chain"] = {
-                "sandwich_lower": {"slack": chain.sandwich_lower.slack, "ok": chain.sandwich_lower.ok},
-                "sandwich_upper": {"slack": chain.sandwich_upper.slack, "ok": chain.sandwich_upper.ok},
-                "n_bound": {"slack": chain.n_bound.slack, "ok": chain.n_bound.ok},
-                "ratio": {"slack": chain.ratio.slack, "ok": chain.ratio.ok},
-                "tolerance": chain.tolerance,
-            }
+            report["chain"] = asdict(chain_check(spec, fit.a, fit.b))
         else:
-            report["bound"] = {"applicable": False, "a": br.a, "b": br.b}
-            report["chain"] = None
+            report["bound"] = {"applicable": False, "a": fit.a, "b": fit.b}
     report["config"] = {
         "inputs": list(inputs),
         "lowercase": config.lowercase,

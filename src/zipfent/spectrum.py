@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from itertools import islice
 
 from .corpus import FrequencyTable
 from .errors import EmptyCorpusError
+
+# spectrum_csv writes at most this many rows per block, so a large spectrum
+# never builds one huge string.
+_CSV_BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -40,11 +45,6 @@ class FreqSpectrum:
         total = _exact_sum((k * f for k, f in ordered.items()), integer)
         return cls(points=ordered, total_tokens=total, max_k=max(ordered))
 
-    @property
-    def vocab_size(self) -> float:
-        """Sum of F(k): how many distinct words sit behind the spectrum."""
-        return _exact_sum(self.points.values(), self.is_integer_valued())
-
     def is_integer_valued(self) -> bool:
         return all(isinstance(f, int) for f in self.points.values())
 
@@ -62,13 +62,9 @@ def freq_of_freq(table: FrequencyTable) -> FreqSpectrum:
     return FreqSpectrum.from_points(dict(Counter(table.counts.values())))
 
 
-def spectrum_to_points(spec: FreqSpectrum) -> list[tuple[float, float]]:
-    """(ln k, ln F(k)) pairs in ascending k, ready for the log-log fit."""
-    return [(math.log(k), math.log(f)) for k, f in spec.points.items()]
-
-
-def spectrum_csv(spec: FreqSpectrum) -> str:
-    """Spectrum as CSV rows "k,F(k)" in ascending k."""
-    lines = ["k,F(k)"]
-    lines.extend(f"{k},{f}" for k, f in spec.points.items())
-    return "\n".join(lines) + "\n"
+def spectrum_csv(spec: FreqSpectrum) -> Iterator[str]:
+    """Spectrum as CSV rows "k,F(k)" in ascending k: the header, then blocks of rows."""
+    yield "k,F(k)\n"
+    rows = iter(spec.points.items())
+    while block := [f"{k},{f}\n" for k, f in islice(rows, _CSV_BLOCK_ROWS)]:
+        yield "".join(block)

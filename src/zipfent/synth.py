@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .bound import (
     DEFAULT_CHAIN_TOLERANCE,
@@ -285,28 +285,7 @@ def sweep(
 
 def sweep_csv(rows: Iterable[SweepRow]) -> str:
     """Sweep table as CSV; errored cells keep a and b and leave the rest empty."""
-
-    def cell(v) -> str:
-        return "" if v is None else str(v)
-
     lines = [SWEEP_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                cell(v)
-                for v in (
-                    r.a,
-                    r.b,
-                    r.n_tokens,
-                    r.max_k,
-                    r.entropy_nats,
-                    r.bound_nats,
-                    r.margin_nats,
-                    r.sandwich_lo,
-                    r.sandwich_hi,
-                    r.n_bound,
-                    r.ratio,
-                )
-            )
-        )
+    # every field but the trailing error, in the header's order
+    lines.extend(",".join("" if v is None else str(v) for v in astuple(r)[:-1]) for r in rows)
     return "\n".join(lines) + "\n"

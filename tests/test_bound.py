@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from conftest import random_tokens
 from zipfent.bound import (
-    bound_report,
     chain_check,
     entropy,
     entropy_from_spectrum,
@@ -127,15 +126,6 @@ def test_bound_monotone_in_b():
         b1 = 8 * rng.random()
         b2 = b1 + 1e-3 + 4 * rng.random()
         assert entropy_upper_bound(a, b1) < entropy_upper_bound(a, b2)
-
-
-def test_bound_report_margin():
-    rep = bound_report(2.0, 10.0, entropy_nats=3.0)
-    assert rep.applicable
-    assert rep.margin_nats == pytest.approx(rep.bound_nats - 3.0, abs=1e-12)
-    rep = bound_report(0.5, 1.0, entropy_nats=3.0)
-    assert not rep.applicable
-    assert rep.bound_nats is None and rep.margin_nats is None
 
 
 def law_spectrum(a, b):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -325,6 +326,17 @@ def test_module_entry_point_runs(tmp_path):
     assert json.loads(proc.stdout)["n_tokens"] == 3
 
 
+def test_analyze_with_stdin_closed_is_io_error():
+    # with file descriptor 0 closed the interpreter starts with sys.stdin None
+    proc = subprocess.run(
+        [sys.executable, "-m", "zipfent", "analyze"],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: os.close(0),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "zipfent: error: stdin is closed\n")
+
+
 @pytest.mark.parametrize("a, b, k_cap", [(1.0, 0.0, None), (1.0, 5.0, None), (1.5, 6.0, 20), (2.0, 7.5, 3)])
 def test_gen_rounded_streams_the_token_list(tmp_path, capsys, a, b, k_cap):
     spec = SyntheticSpec(a=a, b=b, mode="rounded_integer", k_cap=k_cap)
@@ -339,7 +351,7 @@ def test_gen_rounded_streams_the_token_list(tmp_path, capsys, a, b, k_cap):
 def test_gen_exact_csv_matches_dict_spectrum(capsys):
     eb = math.exp(3.0)
     law = FreqSpectrum.from_points({k: eb * k ** -1.5 for k in range(1, _law_k_max(1.5, 3.0) + 1)})
-    assert run_cli(capsys, "gen", "--a", "1.5", "--b", "3", "--mode", "exact") == (0, spectrum_csv(law), "")
+    assert run_cli(capsys, "gen", "--a", "1.5", "--b", "3", "--mode", "exact") == (0, "".join(spectrum_csv(law)), "")
 
 
 def test_sweep_oversized_spectrum_is_a_cell_error(capsys):

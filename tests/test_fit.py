@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zipfent.errors import InsufficientPointsError
-from zipfent.fit import PowerLawFit, fit_loglog, predicted_F
+from zipfent.fit import fit_loglog
 from zipfent.spectrum import FreqSpectrum
 
 
@@ -108,23 +108,3 @@ def test_insufficient_points():
     spec = law_spectrum(1.0, 3.0, range(1, 11))
     with pytest.raises(InsufficientPointsError):
         fit_loglog(spec, k_min=4, k_max=4)
-
-
-def _fit(a, b):
-    return PowerLawFit(a=a, b=b, rmse=0.0, points_used=2, k_min=1, k_max=2)
-
-
-def test_predicted_F_at_k1_is_exp_b():
-    assert predicted_F(1, _fit(1.7, 2.3)) == math.exp(2.3)
-
-
-def test_predicted_F_known_values():
-    # 6 / 3 and 2^-2, checked offline at high precision
-    assert predicted_F(3, _fit(1.0, math.log(6))) == pytest.approx(2.0, rel=1e-12)
-    assert predicted_F(2, _fit(2.0, 0.0)) == pytest.approx(0.25, rel=1e-12)
-
-
-def test_predicted_F_strictly_decreasing():
-    fit = _fit(1.3, 4.0)
-    values = [predicted_F(k, fit) for k in range(1, 30)]
-    assert all(u > v for u, v in zip(values, values[1:]))

@@ -1,15 +1,15 @@
 """Frequency-of-frequencies spectrum construction and export."""
 
-import math
 import random
 
-import mpmath
 import pytest
 
 from conftest import random_tokens
 from zipfent.corpus import FrequencyTable, count_frequencies
 from zipfent.errors import EmptyCorpusError
-from zipfent.spectrum import FreqSpectrum, freq_of_freq, spectrum_csv, spectrum_to_points
+from zipfent import spectrum
+from zipfent.spectrum import FreqSpectrum, freq_of_freq, spectrum_csv
+from zipfent.synth import SyntheticSpec, generate_spectrum
 
 
 def test_freq_of_freq_hand_enumeration():
@@ -46,26 +46,6 @@ def test_from_points_validation():
         FreqSpectrum.from_points({2: float("nan")})
 
 
-def test_points_ln1_is_zero():
-    assert spectrum_to_points(FreqSpectrum.from_points({1: 4, 2: 2})) == [
-        (0.0, math.log(4)),
-        (math.log(2), math.log(2)),
-    ]
-    assert spectrum_to_points(FreqSpectrum.from_points({1: 1})) == [(0.0, 0.0)]
-
-
-def test_points_match_high_precision_logs():
-    # oracle: 50-digit logs, rounded to float
-    mpmath.mp.dps = 50
-    pts = spectrum_to_points(FreqSpectrum.from_points({1: 6, 2: 3, 3: 2}))
-    expected = [
-        (float(mpmath.log(k)), float(mpmath.log(f))) for k, f in [(1, 6), (2, 3), (3, 2)]
-    ]
-    for (x, y), (ex, ey) in zip(pts, expected):
-        assert x == pytest.approx(ex, abs=1e-15)
-        assert y == pytest.approx(ey, abs=1e-15)
-
-
 def test_conservation_on_random_corpora():
     rng = random.Random(7)
     for _ in range(100):
@@ -73,7 +53,6 @@ def test_conservation_on_random_corpora():
         spec = freq_of_freq(table)
         assert sum(k * f for k, f in spec.points.items()) == table.total_tokens
         assert sum(spec.points.values()) == table.vocab_size
-        assert spec.vocab_size == table.vocab_size
         assert spec.max_k == max(spec.points) == table.max_frequency
 
 
@@ -88,7 +67,31 @@ def test_invariant_under_word_relabeling():
 
 def test_csv_export_ascending_k():
     spec = FreqSpectrum.from_points({2: 2, 1: 4, 10: 1})
-    assert spectrum_csv(spec) == "k,F(k)\n1,4\n2,2\n10,1\n"
+    assert "".join(spectrum_csv(spec)) == "k,F(k)\n1,4\n2,2\n10,1\n"
+
+
+def csv_oracle(spec: FreqSpectrum) -> str:
+    """The CSV as one string, built the way spectrum_csv once did."""
+    lines = ["k,F(k)"]
+    lines.extend(f"{k},{f}" for k, f in spec.points.items())
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 16])
+def test_csv_blocks_join_to_the_single_string(monkeypatch, block):
+    monkeypatch.setattr(spectrum, "_CSV_BLOCK_ROWS", block)
+    spectra = [
+        FreqSpectrum.from_points({2: 2, 1: 4, 10: 1}),
+        FreqSpectrum.from_points({1: 2.5, 2: 1.25}),
+        generate_spectrum(SyntheticSpec(a=1.0, b=12.0, mode="exact_real")),  # 162,754 rows
+        generate_spectrum(SyntheticSpec(a=1.5, b=9.0, mode="rounded_integer")),
+    ]
+    for spec in spectra:
+        blocks = list(spectrum_csv(spec))
+        assert "".join(blocks) == csv_oracle(spec)
+        assert blocks[0] == "k,F(k)\n"
+        assert len(blocks) == 1 + (len(spec.points) + block - 1) // block
+        assert max(b.count("\n") for b in blocks[1:]) == min(block, len(spec.points))
 
 
 def test_real_valued_spectrum_aggregates():

@@ -72,7 +72,7 @@ def assert_same_spectrum(new: FreqSpectrum, old: FreqSpectrum, a: float, b: floa
     assert entropy_from_spectrum(new).nats == entropy_from_spectrum(old).nats
     assert chain_check(new, a, b) == chain_check(old, a, b)
     assert fit_or_error(new) == fit_or_error(old)
-    assert spectrum_csv(new) == spectrum_csv(old)  # repr of every value: types too
+    assert "".join(spectrum_csv(new)) == "".join(spectrum_csv(old))  # repr of every value: types too
 
 
 def test_rounded_hand_example():
