@@ -8,7 +8,9 @@ Entropy uses the standard non-negative convention -sum p ln p.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .corpus import FrequencyTable
 from .errors import BoundNotApplicableError, EmptyCorpusError
@@ -34,18 +36,17 @@ class EntropyValue:
 def entropy(table: FrequencyTable) -> EntropyValue:
     """-sum_w p(w) ln p(w) with p(w) = count(w) / N.
 
-    Terms are fed to fsum smallest probability first; fsum makes the result
-    order-independent anyway, the sort just pins the iteration down so runs
-    are reproducible.
+    The term of each distinct count is computed once and fed to fsum once
+    per word with that count.  fsum rounds the exact sum of its inputs
+    once, so this is bit for bit the word-by-word sum, which a product
+    F(c) * term, rounded on its own, would not be.
     """
     if table.is_empty():
         raise EmptyCorpusError("entropy of an empty table is undefined")
     n = table.total_tokens
-    terms = []
-    for c in sorted(table.counts.values()):
-        p = c / n
-        terms.append(-p * math.log(p))
-    return EntropyValue.from_nats(math.fsum(terms) + 0.0)
+    words_with = Counter(table.counts.values())
+    terms = (repeat(-(p := c / n) * math.log(p), f) for c, f in words_with.items())
+    return EntropyValue.from_nats(math.fsum(chain.from_iterable(terms)) + 0.0)
 
 
 def entropy_from_spectrum(spec: FreqSpectrum) -> EntropyValue:

@@ -31,14 +31,15 @@ def fit_loglog(spec: FreqSpectrum, k_min: int = 1, k_max: int | None = None) -> 
 
     Unweighted and deterministic; the result does not depend on point order.
     Raises InsufficientPointsError when fewer than two distinct k survive the
-    range filter (e.g. single-word corpora), in which case the power law
-    cannot be instantiated at all.
+    range filter (e.g. single-word corpora, or a k_min above the largest
+    stored k when k_max is not given), in which case the power law cannot
+    be instantiated at all.  An explicit k_max below k_min is a ValueError.
     """
     if k_min < 1:
         raise ValueError(f"k_min must be >= 1, got {k_min}")
     if k_max is None:
         k_max = spec.max_k
-    if k_max < k_min:
+    elif k_max < k_min:
         raise ValueError(f"k_max ({k_max}) must be >= k_min ({k_min})")
     used = {k: f for k, f in spec.points.items() if k_min <= k <= k_max}
     if len(used) < 2:

@@ -85,6 +85,35 @@ def test_entropy_matches_oracle_and_regrouping():
         assert entropy_from_spectrum(freq_of_freq(table)).nats == pytest.approx(nats, abs=1e-12)
 
 
+def entropy_word_by_word(table):
+    """The entropy loop as it was before terms were shared per distinct count."""
+    n = table.total_tokens
+    terms = []
+    for c in sorted(table.counts.values()):
+        p = c / n
+        terms.append(-p * math.log(p))
+    return math.fsum(terms) + 0.0
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=1, max_value=40),
+            st.integers(min_value=1, max_value=2**70),
+            st.integers(min_value=2**53 - 3, max_value=2**53 + 3),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_entropy_equals_the_word_by_word_sum_bit_for_bit(counts):
+    table = FrequencyTable.from_counts({f"w{i}": c for i, c in enumerate(counts)})
+    expected = entropy_word_by_word(table)
+    value = entropy(table)
+    assert value.nats.hex() == expected.hex()
+    assert value.bits.hex() == (expected / math.log(2)).hex()
+
+
 def test_entropy_range():
     rng = random.Random(43)
     for _ in range(100):

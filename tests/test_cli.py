@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -187,6 +188,53 @@ def test_analyze_deterministic_output(tmp_path, capsys):
     code2, out2, _ = run_cli(capsys, "analyze", str(path))
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_analyze_in_worker_processes_writes_the_same_bytes(tmp_path, monkeypatch, capsys):
+    rng = random.Random(7)
+    words = ["café", "Straße", "STRASSE", "naïve", "\U0001d518x", "to", "a", "x_1"]
+    seps = [" ", "\n", " «", "» ", "—", "\t", ". "]
+    text = "".join(rng.choice(words) + rng.choice(seps) for _ in range(30000))
+    big, small = tmp_path / "big.txt", tmp_path / "small.txt"
+    big.write_text(text, encoding="utf-8")
+    small.write_text("a a b café", encoding="utf-8")
+    argvs = [
+        ["analyze", str(big)],
+        ["analyze", "--format", "text", "--bits", str(big), str(small)],
+        ["analyze", "--format", "csv", str(big)],
+        ["analyze", "--per-file", "--token-rule", "whitespace", "--no-lowercase", str(small), str(big)],
+        ["analyze", "--min-token-len", "2", str(big)],
+    ]
+    in_process = [run_cli(capsys, *argv) for argv in argvs]
+    assert all(code == 0 for code, _, _ in in_process)
+
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 12)
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 3)
+    split, real_ranges = [], corpus._parallel_ranges
+
+    def ranges(f):
+        found = real_ranges(f)
+        split.append(len(found))
+        return found
+
+    monkeypatch.setattr(corpus, "_parallel_ranges", ranges)
+    assert [run_cli(capsys, *argv) for argv in argvs] == in_process
+    # the large file went to three workers every time, the small one never
+    assert sorted(split) == [0, 0, 3, 3, 3, 3, 3]
+
+
+def test_per_file_fit_window_beyond_a_files_data_is_a_recorded_fit_error(capsys):
+    inputs = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+    zipf, two = os.path.join(inputs, "zipf.txt"), os.path.join(inputs, "two.txt")
+    code, out, err = run_cli(capsys, "analyze", "--per-file", "--fit-kmin", "10", zipf, two)
+    assert code == 2
+    reports = json.loads(out)
+    assert reports[0]["fit"]["k_min"] >= 10
+    assert reports[1]["fit"] == {"error": "log-log fit needs at least 2 distinct frequencies in range, have 0"}
+    assert err == f"zipfent: {two}: {reports[1]['fit']['error']}\n"
+    # an explicit window that is empty stays a usage error
+    code, out, err = run_cli(capsys, "analyze", "--fit-kmin", "10", "--fit-kmax", "5", zipf)
+    assert (code, out, err) == (1, "", "zipfent: error: k_max (5) must be >= k_min (10)\n")
 
 
 def test_analyze_report_validates_against_schema(monkeypatch, capsys):

@@ -1,11 +1,19 @@
 """Tokenizer and frequency-table behavior."""
 
+import bz2
+import gzip
 import io
+import lzma
+import multiprocessing
+import random
+import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zipfent import corpus
 from zipfent.corpus import (
     TOKEN_RULES,
     FrequencyTable,
@@ -175,3 +183,120 @@ def test_count_stream_hand_count_across_chunk_edges():
     table = count_stream([io.BytesIO(data)], TokenizerConfig(), chunk_size=3)
     assert table.counts == {"strasse": 2, "café": 1, "x": 1}
     assert count_stream([], TokenizerConfig()).is_empty()
+
+
+# the fragments above with many space and newline bytes, where ranges are cut
+_cuttable_bytes = st.lists(
+    st.one_of(_stream_bytes, st.sampled_from([b" ", b"\n"])), max_size=8
+).map(b"".join)
+
+
+@given(
+    st.binary(max_size=4),
+    _cuttable_bytes,
+    _configs,
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=8),
+)
+def test_byte_ranges_count_to_the_count_of_the_whole_file(prefix, data, config, parts, chunk_size):
+    # the ranges start at the file's current position, here after a prefix
+    start, end = len(prefix), len(prefix) + len(data)
+    with tempfile.TemporaryFile() as f:
+        f.write(prefix + data)
+        f.flush()
+        fd = f.fileno()
+        ranges = corpus._byte_ranges(fd, start, end, parts)
+        total: Counter[str] = Counter()
+        for lo, hi in ranges:
+            total.update(corpus._count_range((fd, lo, hi, config, chunk_size)))
+    assert 1 <= len(ranges) <= parts
+    assert ranges[0][0] == start and ranges[-1][1] == end
+    for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
+        assert hi == lo and data[lo - start] in b" \n"
+    n = config.min_token_length
+    whole = count_stream([io.BytesIO(data)], config).counts
+    assert {w: c for w, c in total.items() if len(w) >= n} == whole == _one_shot(data, config)
+
+
+def test_byte_ranges_of_a_file_without_a_space_or_newline_is_one_range(tmp_path, monkeypatch):
+    # tabs and other whitespace end words too, but are not cut at
+    data = "w\u00f6rd\tn\u00e4chstes\u00a0Wort\r".encode("utf-8") * 4000
+    path = tmp_path / "no_cut.txt"
+    path.write_bytes(data)
+    with open(path, "rb") as f:
+        assert corpus._byte_ranges(f.fileno(), 0, len(data), 4) == [(0, len(data))]
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 10)
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 4)
+    with open(path, "rb") as f:
+        assert corpus._parallel_ranges(f) == [(0, len(data))]
+        assert count_stream([f]).counts == {"wörd": 4000, "nächstes": 4000, "wort": 4000}
+
+
+@pytest.mark.parametrize("offset, cut", [(0, True), (corpus._CUT_SEARCH_BYTES - 1, True),
+                                         (corpus._CUT_SEARCH_BYTES, False)])
+def test_a_cut_is_dropped_without_a_space_or_newline_in_the_search_window(tmp_path, offset, cut):
+    size = 4 * corpus._CUT_SEARCH_BYTES
+    data = bytearray(b"x" * size)
+    data[size // 2 + offset] = ord("\n")
+    path = tmp_path / "long_word.txt"
+    path.write_bytes(data)
+    with open(path, "rb") as f:
+        ranges = corpus._byte_ranges(f.fileno(), 0, size, 2)
+    if cut:
+        assert ranges == [(0, size // 2 + offset), (size // 2 + offset, size)]
+    else:
+        assert ranges == [(0, size)]
+
+
+def _random_text(seed: int, words: int) -> bytes:
+    rng = random.Random(seed)
+    vocab = ["café", "Straße", "naïve", "\U0001d518x", "to", "a", "x_1", "«b»", "c—d"]
+    return " ".join(rng.choice(vocab) + rng.choice(["", "\n"]) for _ in range(words)).encode("utf-8")
+
+
+def _split_in_three(monkeypatch):
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 10)
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 3)
+
+
+def test_count_stream_in_workers_counts_from_the_position_and_leaves_f_at_its_end(tmp_path, monkeypatch):
+    data = _random_text(1, 4000)
+    path = tmp_path / "big.txt"
+    path.write_bytes(data)
+    _split_in_three(monkeypatch)
+    with open(path, "rb") as f:
+        f.read(7)
+        assert len(corpus._parallel_ranges(f)) == 3
+        table = count_stream([f])
+        assert f.tell() == len(data)
+    assert table.counts == count_stream([io.BytesIO(data[7:])]).counts
+
+
+@pytest.mark.parametrize("codec", [gzip, bz2, lzma])
+def test_a_compressed_file_is_counted_in_process(tmp_path, monkeypatch, codec):
+    # its fileno() and tell() work, but the file's bytes are not the ones it reads
+    data = _random_text(2, 20000)
+    path = tmp_path / "big.txt.z"
+    with codec.open(path, "wb") as f:
+        f.write(data)
+    _split_in_three(monkeypatch)
+    assert path.stat().st_size >= 2 * corpus.PARALLEL_MIN_BYTES
+    with codec.open(path, "rb") as f:
+        assert corpus._parallel_ranges(f) == []
+        assert count_stream([f]).counts == count_stream([io.BytesIO(data)]).counts
+
+
+def _count_file(path: str) -> dict[str, int]:
+    with open(path, "rb") as f:
+        return count_stream([f]).counts
+
+
+def test_count_stream_runs_in_a_pool_worker(tmp_path, monkeypatch):
+    # a pool's workers are daemonic and may not start processes of their own
+    data = _random_text(3, 4000)
+    path = tmp_path / "big.txt"
+    path.write_bytes(data)
+    _split_in_three(monkeypatch)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        (counts,) = pool.map(_count_file, [str(path)])
+    assert counts == count_stream([io.BytesIO(data)]).counts

@@ -108,3 +108,11 @@ def test_insufficient_points():
     spec = law_spectrum(1.0, 3.0, range(1, 11))
     with pytest.raises(InsufficientPointsError):
         fit_loglog(spec, k_min=4, k_max=4)
+
+
+def test_k_min_beyond_the_largest_k_leaves_no_points():
+    # with k_max defaulted to the largest stored k, the window is empty,
+    # not malformed
+    with pytest.raises(InsufficientPointsError) as exc:
+        fit_loglog(law_spectrum(1.0, 3.0, range(1, 11)), k_min=20)
+    assert exc.value.available == 0
