@@ -83,13 +83,15 @@ class InequalityResult:
 class ChainDiagnostics:
     """Worst-case slack of each inequality the ceiling's derivation relies on.
 
-    Slacks are oriented so that >= 0 means satisfied, and a check passes when
-    its slack >= -tolerance:
+    Slacks are oriented so that >= 0 means satisfied.  Each slack is a
+    difference of quantities on its own scale, so the tolerance is relative:
+    a check passes when its slack >= -tolerance * scale.
 
-      sandwich_lower  min_k  k F(k) - e^(b/a)
-      sandwich_upper  min_k  e^b - k F(k)
-      n_bound         N - M e^(b/a)
-      ratio           e^(-b/a) - M/N
+      check           slack                   scale
+      sandwich_lower  min_k  k F(k) - e^(b/a)  max(1, e^b)
+      sandwich_upper  min_k  e^b - k F(k)      max(1, e^b)
+      n_bound         N - M e^(b/a)            max(1, N)
+      ratio           e^(-b/a) - M/N           1
     """
 
     sandwich_lower: InequalityResult
@@ -117,27 +119,38 @@ def chain_check(
     float rounding).  Real corpora need not satisfy the law's hypothesis, so
     failures here are diagnostics, not defects.
     """
+    # rounding is monotone, so these equal min(kF - e_lo) and min(e_hi - kF) bit for bit
+    kf_min = min(k * f for k, f in spec.points.items())
+    kf_max = max(k * f for k, f in spec.points.items())
+    return chain_diagnostics(a, b, kf_min, kf_max, spec.total_tokens, spec.max_k, tolerance)
+
+
+def chain_diagnostics(
+    a: float,
+    b: float,
+    kf_min: float,
+    kf_max: float,
+    n: float,
+    m: int,
+    tolerance: float = DEFAULT_CHAIN_TOLERANCE,
+) -> ChainDiagnostics:
+    """The chain checks of a spectrum given by its extremes: the smallest and
+    largest k F(k), the token total N and the largest frequency M."""
     if not a >= 1:
         raise BoundNotApplicableError(a)
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     e_lo = math.exp(b / a)
     e_hi = math.exp(b)
-    # rounding is monotone, so these equal min(kF - e_lo) and min(e_hi - kF) bit for bit
-    lower = min(k * f for k, f in spec.points.items()) - e_lo
-    upper = e_hi - max(k * f for k, f in spec.points.items())
-    n = spec.total_tokens
-    m = spec.max_k
-    n_slack = n - m * e_lo
-    ratio_slack = math.exp(-b / a) - m / n
+    sandwich_scale = max(1.0, e_hi)
 
-    def check(slack: float) -> InequalityResult:
-        return InequalityResult(slack=slack, ok=slack >= -tolerance)
+    def check(slack: float, scale: float) -> InequalityResult:
+        return InequalityResult(slack=slack, ok=slack >= -tolerance * scale)
 
     return ChainDiagnostics(
-        sandwich_lower=check(lower),
-        sandwich_upper=check(upper),
-        n_bound=check(n_slack),
-        ratio=check(ratio_slack),
+        sandwich_lower=check(kf_min - e_lo, sandwich_scale),
+        sandwich_upper=check(e_hi - kf_max, sandwich_scale),
+        n_bound=check(n - m * e_lo, max(1, n)),
+        ratio=check(math.exp(-b / a) - m / n, 1.0),
         tolerance=tolerance,
     )

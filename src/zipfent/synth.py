@@ -14,18 +14,16 @@ from array import array
 from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
 from dataclasses import astuple, dataclass
 
-from .bound import (
-    DEFAULT_CHAIN_TOLERANCE,
-    chain_check,
-    entropy_from_spectrum,
-    entropy_upper_bound,
-)
+from .bound import chain_diagnostics, entropy_upper_bound
+# Not used here, but bench/tracer.py wraps these names on this module.
+from .bound import chain_check, entropy_from_spectrum  # noqa: F401
 from .spectrum import FreqSpectrum, _exact_sum
 
 MODES = ("exact_real", "rounded_integer")
 
-# Most points generate_spectrum builds (k_max after k_cap), checked before
-# anything is allocated: 80 MB of doubles.  Admits a=1, b=16 (8.9M points).
+# Most points of a law (k_max after k_cap), checked before anything is
+# allocated: generate_spectrum builds no more (80 MB of doubles), and sweep
+# admits no larger cell.  Admits a=1, b=16 (8.9M points).
 MAX_LAW_POINTS = 10_000_000
 
 # Most tokens a corpus may hold, checked before any text is made: about
@@ -35,6 +33,16 @@ MAX_CORPUS_TOKENS = 1_000_000_000
 # Corpus text is made in blocks of at most this many tokens (or one word),
 # so a large F(k) never builds one huge string.
 _BLOCK_TOKENS = 1 << 16
+
+# Terms _power_sums adds one by one before its Euler-Maclaurin tail, and the
+# tail's coefficients B_2j / (2j)!, j = 1 .. 6
+_DIRECT_TERMS = 64
+_EM_COEFFS = tuple(
+    bern / math.factorial(2 * j)
+    for j, bern in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730), 1)
+)
+
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)
 
 SWEEP_CSV_HEADER = "a,b,N,M,entropy_nats,bound_nats,margin_nats,sandwich_lo,sandwich_hi,n_bound,ratio"
 
@@ -208,15 +216,6 @@ def generate_corpus(spec: SyntheticSpec) -> Iterator[str]:
     return corpus_text(generate_spectrum(spec))
 
 
-def rounding_tolerance(a: float, b: float) -> float:
-    """Chain-check slack allowance for rounded spectra.
-
-    Half-up rounding moves F(k) by up to 0.5, hence k F(k) by up to 0.5 k,
-    which is 0.5 max(1, e^(b/a)) at the largest stored frequency.
-    """
-    return 0.5 * max(1.0, math.exp(b / a))
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One grid cell of a ceiling-tightness sweep; numeric fields are None
@@ -236,6 +235,133 @@ class SweepRow:
     error: str | None = None
 
 
+def _power_sums(s: float, k_lo: int, k_hi: int) -> tuple[float, float]:
+    """(sum k^-s, sum k^-s ln k) over k = k_lo .. k_hi, for 1 <= k_lo <= k_hi.
+
+    The first _DIRECT_TERMS terms are summed directly.  The rest, from
+    m = k_lo + _DIRECT_TERMS on, is the Euler-Maclaurin formula with six
+    Bernoulli terms: integral + (f(m) + f(n)) / 2 + sum_j B_2j / (2j)!
+    (f^(2j-1)(n) - f^(2j-1)(m)).  At m >= 65 its remainder, of the order of
+    B_14 / 14! f^(13)(m), is far below one unit in the last place of the
+    sum.  All pieces go through one fsum.
+    """
+    last = min(k_hi, k_lo + _DIRECT_TERMS - 1)
+    sum0 = [k ** -s for k in range(k_lo, last + 1)]
+    sum1 = [f * math.log(k) for k, f in zip(range(k_lo, last + 1), sum0)]
+    if last < k_hi:
+        m, n = last + 1, k_hi
+        # integrals over [m, n] of x^-s and x^-s ln x, with t = 1 - s and
+        # L = ln(n/m); each is a difference of x^t terms, which cancel when
+        # z = tL is small, so there x = m e^u gives m^t int_0^L e^(tu) (1, ln m + u) du
+        t = 1.0 - s
+        ln_m, ln_n = math.log(m), math.log(n)
+        big_l = math.log1p((n - m) / m)
+        z = t * big_l
+        if abs(z) <= 1.0:
+            # int_0^1 e^(zv) dv and int_0^1 v e^(zv) dv
+            e1 = math.expm1(z) / z if z else 1.0
+            e2, term = 0.0, 1.0
+            for i in range(20):
+                e2 += term / (i + 2)
+                term *= z / (i + 1)
+            mt = m**t
+            sum0.append(mt * big_l * e1)
+            sum1.append(mt * (ln_m * big_l * e1 + big_l * big_l * e2))
+        else:
+            mt, nt = m**t, n**t
+            sum0.append((nt - mt) / t)
+            sum1.append((nt * (t * ln_n - 1.0) - mt * (t * ln_m - 1.0)) / (t * t))
+        fm, fn = m**-s, n**-s
+        sum0 += (fm / 2, fn / 2)
+        sum1 += (fm * ln_m / 2, fn * ln_n / 2)
+        # odd derivatives: f^(r)(x) = -p x^(-s-r), and for f ln x,
+        # -(p ln x - dp) x^(-s-r), where p = s (s+1) .. (s+r-1) and dp = dp/ds
+        p, dp = 1.0, 0.0
+        for r in range(1, 2 * len(_EM_COEFFS)):
+            p, dp = p * (s + r - 1), dp * (s + r - 1) + p
+            if r % 2:
+                c = _EM_COEFFS[r // 2]
+                xm, xn = m ** (-s - r), n ** (-s - r)
+                sum0 += (-c * p * xn, c * p * xm)
+                sum1 += (-c * (p * ln_n - dp) * xn, c * (p * ln_m - dp) * xm)
+    return math.fsum(sum0), math.fsum(sum1)
+
+
+def _exact_cell(a: float, b: float, n: int) -> tuple[float, float, float, float]:
+    """(N, entropy, min k F(k), max k F(k)) of the exact law on k = 1 .. n.
+
+    With S0 = sum k^(1-a) and S1 = sum k^(1-a) ln k: N = e^b S0 and the
+    entropy is b + (ln S0 - S1/S0), whose two small terms are added first.
+    k F(k) = e^b k^(1-a) does not grow with k, so its extremes sit at k = n
+    and k = 1; at a = 1 both are e^b exactly.
+    """
+    eb = math.exp(b)
+    s0, s1 = _power_sums(a - 1.0, 1, n)
+    total = eb * s0
+    _check_float_total(total, a, b)
+    return total, b + (math.log(s0) - s1 / s0), eb * n ** (1.0 - a), eb
+
+
+def _rounded_runs(a: float, b: float, n: int) -> Iterator[tuple[int, int, int]]:
+    """(first k, last k, F) of each run of equal rounded law values on k = 1 .. n.
+
+    F is evaluated as generate_spectrum does.  Where F(k + 1) = F(k), the
+    run's end is seeded from the inverse law, k <= (e^b / (F - 1/2))^(1/a),
+    and nudged to where the evaluated F changes.
+    """
+    eb = math.exp(b)
+
+    def value(k: int) -> int:
+        return _round_half_up(eb * k ** (-a))
+
+    k, v = 1, value(1)
+    while k <= n:
+        end, after = k, value(k + 1)
+        if after == v:
+            x = (eb / (v - 0.5)) ** (1 / a)
+            end = n if x >= n else max(k, math.floor(x))
+            while end < n and value(end + 1) == v:
+                end += 1
+            while value(end) != v:
+                end -= 1
+            after = value(end + 1)
+        yield k, end, v
+        k, v = end + 1, after
+
+
+def _rounded_cell(a: float, b: float, n: int) -> tuple[int, float, int, int]:
+    """(N, entropy, min k F(k), max k F(k)) of the rounded law on k = 1 .. n.
+
+    Within a run of equal F, k F(k) is smallest at the run's first k and
+    largest at its last, so N and both extremes are the per-point values
+    exactly.  The entropy is ln N - sum F(k) k ln k / N.
+    """
+    total, kf_min, kf_max = 0, math.inf, 0
+    # F scaled by 2^-e, exactly, with e^b < 2^e: sum F k ln k can pass the
+    # float range where N does not
+    e = math.frexp(math.exp(b))[1]
+
+    def k_ln_k_terms() -> Iterator[float]:
+        # F sum k ln k over each run, fed to fsum as N and the extremes add up;
+        # a one-point run skips _power_sums, as every run does when k_cap < e^(b/2)
+        nonlocal total, kf_min, kf_max
+        for lo, hi, v in _rounded_runs(a, b, n):
+            total += v * (hi * (hi + 1) - (lo - 1) * lo) // 2
+            kf_min = min(kf_min, lo * v)
+            kf_max = max(kf_max, hi * v)
+            yield math.ldexp(v, -e) * (lo * math.log(lo) if lo == hi else _power_sums(-1.0, lo, hi)[1])
+
+    k_ln_k = math.fsum(k_ln_k_terms())
+    _check_float_total(total, a, b)
+    return total, math.log(total) - k_ln_k / math.ldexp(total, -e), kf_min, kf_max
+
+
+def _check_float_total(total: float, a: float, b: float) -> None:
+    # the entropy and the chain slacks are floats, and so must N be
+    if total > _FLOAT_MAX:
+        raise ValueError(f"token total overflows a float for a={a}, b={b}")
+
+
 def sweep(
     a_grid: Sequence[float],
     b_grid: Sequence[float],
@@ -245,32 +371,36 @@ def sweep(
     """Entropy vs ceiling over a parameter grid, one row per (a, b) in grid order.
 
     Every slope must be >= 1 up front; other per-cell generator rejections
-    (e.g. negative b) are recorded in the row instead of aborting the sweep.
-    Cells are independent pure computations.
+    (e.g. negative b, or more than MAX_LAW_POINTS points) are recorded in the
+    row instead of aborting the sweep.  Each cell's statistics come in closed
+    form from power sums, without building its spectrum: O(1) in exact mode
+    and one step per run of equal values in rounded mode.  They equal those
+    of generate_spectrum's spectrum: in rounded mode N, M and every chain
+    slack bit for bit, otherwise to float rounding.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     for a in a_grid:
         if not a >= 1:
             raise ValueError(f"slope grid must satisfy a >= 1, got {a}")
+    cell = _exact_cell if mode == "exact_real" else _rounded_cell
     rows: list[SweepRow] = []
     for a in a_grid:
         for b in b_grid:
             try:
-                sp = generate_spectrum(SyntheticSpec(a=a, b=b, mode=mode, k_cap=k_cap))
+                n = _law_points(SyntheticSpec(a=a, b=b, mode=mode, k_cap=k_cap))
+                total, ent, kf_min, kf_max = cell(a, b, n)
             except ValueError as exc:
                 rows.append(SweepRow(a=a, b=b, error=str(exc)))
                 continue
-            ent = entropy_from_spectrum(sp).nats
             bound = entropy_upper_bound(a, b)
-            tol = DEFAULT_CHAIN_TOLERANCE if mode == "exact_real" else rounding_tolerance(a, b)
-            chain = chain_check(sp, a, b, tolerance=tol)
+            chain = chain_diagnostics(a, b, kf_min, kf_max, total, n)
             rows.append(
                 SweepRow(
                     a=a,
                     b=b,
-                    n_tokens=sp.total_tokens,
-                    max_k=sp.max_k,
+                    n_tokens=total,
+                    max_k=n,
                     entropy_nats=ent,
                     bound_nats=bound,
                     margin_nats=bound - ent,

@@ -78,13 +78,13 @@ def test_criterion_2_fit_recovery():
 
 
 def test_criterion_3_ceiling_holds_on_exact_sweep():
-    rows = sweep([1.0, 1.25, 1.5, 2.0], [4.0, 6.0, 8.0], mode="exact_real")
+    rows = sweep([1.0, 1.25, 1.5, 2.0], [4.0, 6.0, 8.0, 16.0], mode="exact_real")
     worst_margin = min(r.margin_nats for r in rows)
     worst_slack = min(
         min(r.sandwich_lo, r.sandwich_hi, r.n_bound, r.ratio) for r in rows
     )
     ok = (
-        len(rows) == 12
+        len(rows) == 16
         and all(r.error is None for r in rows)
         and worst_margin >= 0
         and worst_slack >= -1e-9
@@ -92,7 +92,7 @@ def test_criterion_3_ceiling_holds_on_exact_sweep():
     _verdict(
         3,
         ok,
-        f"entropy <= e^(b(1-1/a))(b/a+1) on all 12 exact cells: min margin "
+        f"entropy <= e^(b(1-1/a))(b/a+1) on all 16 exact cells: min margin "
         f"{worst_margin:.3e} nats (>= 0), min chain slack {worst_slack:.3e} (>= -1e-9)",
     )
 

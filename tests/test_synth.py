@@ -4,7 +4,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zipfent import synth
@@ -21,6 +21,7 @@ from zipfent.synth import (
     SyntheticSpec,
     _law_k_max,
     _law_points,
+    _power_sums,
     corpus_text,
     generate_corpus,
     generate_spectrum,
@@ -184,6 +185,15 @@ def test_entropy_never_exceeds_ceiling_on_exact_spectra():
             assert entropy_from_spectrum(spec).nats <= entropy_upper_bound(a, b)
 
 
+@settings(deadline=None)
+@given(st.floats(1.0, 3.0), st.floats(0.0, 40.0), st.integers(1, 2000))
+@example(1.0, 16.0, 2000)
+def test_chain_passes_on_exact_law_at_any_scale(a, b, k_cap):
+    # the sandwich slacks are float noise on the scale of e^b: -1.86e-9 at a = 1, b = 16
+    spec = generate_spectrum(SyntheticSpec(a=a, b=b, mode="exact_real", k_cap=k_cap))
+    assert chain_check(spec, a, b).all_ok()
+
+
 def test_sweep_single_cell_closed_form():
     rows = sweep([1.0], [math.log(2)], mode="exact_real")
     assert len(rows) == 1
@@ -317,3 +327,120 @@ def test_generate_corpus_refuses_before_building_the_spectrum(monkeypatch):
     # 1.2M points make at least 7.2e11 tokens
     with pytest.raises(ValueError, match="--k-cap"):
         generate_corpus(SyntheticSpec(a=1.0, b=14.0))
+
+
+def generic_cell(a, b, mode, k_cap):
+    """A sweep cell the way sweep built it before its closed form: the whole law
+    spectrum, then entropy_from_spectrum and chain_check over every point."""
+    spec = generate_spectrum(SyntheticSpec(a=a, b=b, mode=mode, k_cap=k_cap))
+    chain = chain_check(spec, a, b)
+    ent = entropy_from_spectrum(spec).nats
+    bound = entropy_upper_bound(a, b)
+    return synth.SweepRow(
+        a, b, spec.total_tokens, spec.max_k, ent, bound, bound - ent,
+        chain.sandwich_lower.slack, chain.sandwich_upper.slack, chain.n_bound.slack, chain.ratio.slack,
+    )
+
+
+# relative agreement of the closed form with the point-by-point path: a few
+# roundings of fsum-accurate sums
+CELL_REL = 1e-14
+
+
+@settings(deadline=None)
+@given(
+    st.floats(1.0, 3.0),
+    st.floats(0.0, 12.0),
+    st.sampled_from(MODES),
+    st.one_of(st.none(), st.integers(1, 5000)),
+)
+# N = 7.6e307 fits a float, sum F(k) k ln k = 4.5e308 does not
+@example(1.0, 702.0, "rounded_integer", 1000)
+def test_sweep_cell_equals_generic_path(a, b, mode, k_cap):
+    (new,) = sweep([a], [b], mode=mode, k_cap=k_cap)
+    old = generic_cell(a, b, mode, k_cap)
+    assert new.max_k == old.max_k and new.bound_nats == old.bound_nats
+    # the entropy is ln N less a mean of ln k, so its rounding is on the scale of ln N
+    h_scale = max(1.0, math.log(old.n_tokens))
+    assert abs(new.entropy_nats - old.entropy_nats) <= CELL_REL * h_scale
+    assert abs(new.margin_nats - old.margin_nats) <= CELL_REL * max(h_scale, old.bound_nats)
+    slacks = ("sandwich_lo", "sandwich_hi", "n_bound", "ratio")
+    if mode == "rounded_integer":
+        assert type(new.n_tokens) is int and new.n_tokens == old.n_tokens
+        assert [getattr(new, f) for f in slacks] == [getattr(old, f) for f in slacks]
+        return
+    assert new.n_tokens == pytest.approx(old.n_tokens, rel=CELL_REL)
+    # each slack is a difference of quantities on its own scale
+    e_b = max(1.0, math.exp(b))
+    for field, scale in zip(slacks, (e_b, e_b, max(1.0, old.n_tokens), 1.0)):
+        assert abs(getattr(new, field) - getattr(old, field)) <= CELL_REL * scale, field
+
+
+def mp_power_sums(a, n):
+    """(sum k^(1-a), sum k^(1-a) ln k) over k = 1 .. n, at 40 digits, by mpmath alone."""
+    s = mpmath.mpf(a) - 1
+    if s == 0:
+        return mpmath.mpf(n), mpmath.loggamma(n + 1)
+    if s == 1:
+        return mpmath.harmonic(n), mpmath.fsum(mpmath.log(k) / k for k in range(1, n + 1))
+    # Hurwitz zeta: sum_(k=1..n) k^-s = zeta(s, 1) - zeta(s, n + 1), and -d/ds of it
+    return (
+        mpmath.zeta(s, 1) - mpmath.zeta(s, n + 1),
+        mpmath.zeta(s, n + 1, 1) - mpmath.zeta(s, 1, 1),
+    )
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(1.0, 8.0), (1.0, 12.0), (1.0, 16.0), (1.5, 10.0), (1.5, 20.0), (2.0, 8.0), (2.0, 12.0), (3.0, 20.0),
+     (2.0 - 1e-7, 12.0), (2.0 + 1e-7, 12.0), (1.0 + 1e-7, 12.0)],
+)
+def test_sweep_exact_cell_matches_mpmath(a, b):
+    (row,) = sweep([a], [b], mode="exact_real")
+    with mpmath.workdps(40):
+        s0, s1 = mp_power_sums(a, row.max_k)
+        n_tokens = mpmath.exp(b) * s0
+        ent = b + mpmath.log(s0) - s1 / s0
+        assert row.max_k == _law_k_max(a, b)
+        assert abs(row.n_tokens - n_tokens) <= 2e-15 * n_tokens
+        assert abs(row.entropy_nats - ent) <= 2e-15 * ent
+
+
+_SHORT_RANGES = [(1, 1), (1, 64), (1, 65), (3, 70), (70, 5000), (1000, 1001)]
+
+
+# s = -1 is the rounded mode's sum k ln k over a run; s = a - 1 the exact mode's
+@pytest.mark.parametrize(
+    "s, k_lo, k_hi",
+    [(s, lo, hi) for s in (-1.0, 0.0, 0.5, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 2.0) for lo, hi in _SHORT_RANGES]
+    + [(s, 7, 10**6) for s in (-1.0, 0.5, 1.0 - 1e-7, 1.0 + 1e-7, 2.0)],
+)
+def test_power_sums_match_mpmath(s, k_lo, k_hi):
+    got = _power_sums(s, k_lo, k_hi)
+    with mpmath.workdps(40):
+        x = mpmath.mpf(s)
+        if k_hi - k_lo < 6000:
+            ks = range(k_lo, k_hi + 1)
+            want = (mpmath.fsum(mpmath.mpf(k) ** -x for k in ks), mpmath.fsum(mpmath.mpf(k) ** -x * mpmath.log(k) for k in ks))
+        else:
+            want = (mpmath.zeta(x, k_lo) - mpmath.zeta(x, k_hi + 1), mpmath.zeta(x, k_hi + 1, 1) - mpmath.zeta(x, k_lo, 1))
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-15 * abs(w)
+
+
+def test_sweep_a1_b16_without_building_the_spectrum(monkeypatch):
+    def unreachable(spec):
+        raise AssertionError("spectrum built")
+
+    monkeypatch.setattr(synth, "generate_spectrum", unreachable)
+    exact, rounded = (sweep([1.0], [16.0], mode=mode)[0] for mode in MODES)
+    assert exact.max_k == rounded.max_k == 8_886_110
+    # k F(k) = e^b at every k, and N = M e^b: the exact slacks vanish outright
+    assert (exact.sandwich_lo, exact.sandwich_hi, exact.n_bound) == (0.0, 0.0, 0.0)
+    assert rounded.n_tokens == 76_388_849_494_290
+
+
+@pytest.mark.parametrize("mode, b, k_cap", [("exact_real", 709.0, 3), ("rounded_integer", 709.7, 2)])
+def test_sweep_token_total_past_float_range_is_cell_error(mode, b, k_cap):
+    (row,) = sweep([1.0], [b], mode=mode, k_cap=k_cap)
+    assert row.n_tokens is None and "overflows" in row.error
