@@ -33,18 +33,20 @@ class EntropyValue:
         return cls(nats=nats, bits=nats / _LN2)
 
 
-def entropy(table: FrequencyTable) -> EntropyValue:
+def entropy(table: FrequencyTable, spectrum: FreqSpectrum | None = None) -> EntropyValue:
     """-sum_w p(w) ln p(w) with p(w) = count(w) / N.
 
     The term of each distinct count is computed once and fed to fsum once
     per word with that count.  fsum rounds the exact sum of its inputs
     once, so this is bit for bit the word-by-word sum, which a product
-    F(c) * term, rounded on its own, would not be.
+    F(c) * term, rounded on its own, would not be.  ``spectrum``, when
+    given, must be ``freq_of_freq(table)``: its points are the number of
+    words with each count, so the counts are not histogrammed again.
     """
     if table.is_empty():
         raise EmptyCorpusError("entropy of an empty table is undefined")
     n = table.total_tokens
-    words_with = Counter(table.counts.values())
+    words_with = spectrum.points if spectrum is not None else Counter(table.counts.values())
     terms = (repeat(-(p := c / n) * math.log(p), f) for c, f in words_with.items())
     return EntropyValue.from_nats(math.fsum(chain.from_iterable(terms)) + 0.0)
 

@@ -8,16 +8,19 @@ corpus, insufficient fit points), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
+import os
+import stat
 import sys
 from typing import BinaryIO, Iterable, Iterator
 
-from . import synth
+from . import corpus, synth
 from .corpus import TokenizerConfig, count_stream
 # Not used here, but bench/tracer.py wraps these names on this module.
 from .corpus import count_frequencies, merge, read_text, tokenize  # noqa: F401
 from .errors import EmptyCorpusError
 from .report import build_report, report_json, report_text
-from .spectrum import freq_of_freq, spectrum_csv
+from .spectrum import FreqSpectrum, freq_of_freq, spectrum_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,18 +113,23 @@ def _cmd_analyze(args) -> int:
     )
     # pooled is one group of every input, --per-file one group per input
     groups = [[p] for p in args.paths] if args.per_file and args.paths else [args.paths]
+    report_group = functools.partial(
+        _report_group, config=config, fit_kmin=args.fit_kmin, fit_kmax=args.fit_kmax, csv=args.format == "csv"
+    )
+    results = map(report_group, groups)
+    # the groups run on every CPU, unless a large file is to be cut into
+    # byte ranges on every CPU instead
+    if len(groups) >= 2 and corpus._can_fork() and not any(map(_is_large_file, args.paths)):
+        workers = min(corpus._cpu_count(), len(groups), corpus.MAX_WORKERS)
+        results = corpus._fork_map(report_group, groups, workers)
     reports, empty, spectrum = [], [], None
-    for paths in groups:
-        # each table is reported, then dropped; the messages wait until every
-        # input is read, so an I/O error on a later input takes precedence
-        table = count_stream(_open_inputs(paths), config)
-        labels = paths or ["-"]
-        if table.is_empty():
-            empty.append(labels[0])
-            continue
-        reports.append(build_report(table, config, labels, args.fit_kmin, args.fit_kmax))
-        if args.format == "csv":
-            spectrum = freq_of_freq(table)
+    # the messages wait until every input is read, so an I/O error on a
+    # later input takes precedence
+    for label, rep, spectrum in results:
+        if rep is None:
+            empty.append(label)
+        else:
+            reports.append(rep)
     if empty:
         raise EmptyCorpusError(f"empty corpus: {empty[0]}" if args.per_file else "empty corpus")
 
@@ -141,6 +149,30 @@ def _cmd_analyze(args) -> int:
         chunks = ["\n".join(texts)]
     _emit(chunks, args.out)
     return status
+
+
+def _report_group(
+    paths: list[str], config: TokenizerConfig, fit_kmin: int | None, fit_kmax: int | None, csv: bool
+) -> tuple[str, dict | None, FreqSpectrum | None]:
+    """Count one group of inputs and report it: (label, report, spectrum if csv).
+
+    The report is None when the group has no words.
+    """
+    table = count_stream(_open_inputs(paths), config)
+    labels = paths or ["-"]
+    if table.is_empty():
+        return labels[0], None, None
+    report = build_report(table, config, labels, fit_kmin, fit_kmax)
+    return labels[0], report, freq_of_freq(table) if csv else None
+
+
+def _is_large_file(path: str) -> bool:
+    """Whether path is a regular file that count_stream may cut into byte ranges."""
+    try:
+        info = os.stat(path)
+    except OSError:  # reported when it is opened
+        return False
+    return stat.S_ISREG(info.st_mode) and info.st_size >= corpus.PARALLEL_MIN_BYTES
 
 
 def _cmd_gen(args) -> int:

@@ -3,7 +3,8 @@
 All words from all inputs are pooled into a single corpus; there is no
 per-document bookkeeping.  ``count_stream`` is the ingestion path for files:
 it counts them chunk by chunk, so memory grows with the vocabulary, not with
-the input, and counts a large regular file in worker processes.  Tables are
+the input, and counts a large regular file on several CPUs with
+``_fork_map``, which the CLI also uses for ``--per-file`` groups.  Tables are
 immutable once built and safe to share across threads; ``merge`` sums them
 and is insensitive to the order of its arguments.
 """
@@ -20,7 +21,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 TOKEN_RULES = ("unicode_words", "whitespace")
 
@@ -31,11 +32,15 @@ _WORD_RE = re.compile(r"\w+")
 CHUNK_SIZE = 1 << 20
 
 # count_stream counts a regular file with at least this many bytes left in
-# worker processes, one per PARALLEL_MIN_BYTES // 2 bytes and CPU, and at
-# most MAX_WORKERS, which bounds the processes and the vocabulary-sized
-# tables that exist at once.
+# byte ranges on several processes, one per PARALLEL_MIN_BYTES // 2 bytes and
+# CPU, and at most MAX_WORKERS, which bounds the processes and the
+# vocabulary-sized tables that exist at once.
 PARALLEL_MIN_BYTES = 8 << 20
 MAX_WORKERS = 8
+
+# True while this process computes a share of a _fork_map, in its children
+# and in the parent's own share, so that nothing forks inside one.
+_in_fork_map = False
 
 # Ranges are cut at these bytes, searched for this far past an even share.
 _CUT_RE = re.compile(rb"[ \n]")
@@ -149,10 +154,11 @@ def count_stream(
 
     A regular file opened with ``open`` (not a decompressing reader) with at
     least ``PARALLEL_MIN_BYTES`` left to read is cut into byte ranges at space
-    or newline bytes, and where ``fork`` and more than one CPU are available
-    the ranges are counted in worker processes, one per CPU and at most
-    ``MAX_WORKERS``; the table is the same, and each worker holds a partial
-    vocabulary of its own.  Either way each file is left at its end.
+    or newline bytes where ``_can_fork`` allows, one per CPU and at most
+    ``MAX_WORKERS``.  This process counts the first range itself and forked
+    children count the others; the table is the same, and each process
+    holds a partial vocabulary of its own.  Either way each file is left at
+    its end.
     """
     if chunk_size is None:
         chunk_size = CHUNK_SIZE
@@ -162,18 +168,14 @@ def count_stream(
         if len(ranges) < 2:
             _count_into(counts, f.read, config, chunk_size)
             continue
-        # imported here, so that importing the CLI does not pay for it
-        import multiprocessing
-
         jobs = [(f.fileno(), start, end, config, chunk_size) for start, end in ranges]
-        with multiprocessing.get_context("fork").Pool(len(jobs)) as pool:
-            # each partial table is added as it arrives and then dropped
-            for part in pool.imap_unordered(_count_range, jobs):
-                if counts:
-                    counts.update(part)
-                else:
-                    counts = part
-        # the workers read with pread; leave f at its end, as f.read would
+        # each partial table is added as it arrives and then dropped
+        for part in _fork_map(_count_range, jobs, len(jobs)):
+            if counts:
+                counts.update(part)
+            else:
+                counts = part
+        # the ranges are read with pread; leave f at its end, as f.read would
         f.seek(0, os.SEEK_END)
     if config.min_token_length > 1:
         n = config.min_token_length
@@ -215,14 +217,12 @@ def _count_into(
 
 
 def _parallel_ranges(f: BinaryIO) -> list[tuple[int, int]]:
-    """The byte ranges in which count_stream counts f, one each in a worker process.
+    """The byte ranges in which count_stream counts f, one each in a ``_fork_map`` share.
 
-    Fewer than two means f is counted in-process: it is not a plain OS file
-    whose bytes are the ones it reads (a pipe, a terminal, an in-memory
-    buffer, a gzip, bz2 or lzma reader over a file), has fewer than
-    ``PARALLEL_MIN_BYTES`` left, or the platform has no ``fork``, only one
-    CPU, other threads running, which a forked child would not have, or this
-    is a daemonic ``multiprocessing`` worker, which may not start processes.
+    Fewer than two means f is counted in this process alone: it is not a
+    plain OS file whose bytes are the ones it reads (a pipe, a terminal, an
+    in-memory buffer, a gzip, bz2 or lzma reader over a file), has fewer than
+    ``PARALLEL_MIN_BYTES`` left, or ``_can_fork`` is false.
     """
     if not isinstance(f, (io.BufferedReader, io.BufferedRandom, io.FileIO)):
         return []
@@ -233,13 +233,24 @@ def _parallel_ranges(f: BinaryIO) -> list[tuple[int, int]]:
     info = os.fstat(fd)
     if not stat.S_ISREG(info.st_mode) or info.st_size - start < PARALLEL_MIN_BYTES:
         return []
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return []
-    mp = sys.modules.get("multiprocessing")  # not imported just to ask
-    if mp is not None and mp.current_process().daemon:
+    if not _can_fork():
         return []
     parts = min(_cpu_count(), (info.st_size - start) // (PARALLEL_MIN_BYTES // 2), MAX_WORKERS)
     return _byte_ranges(fd, start, info.st_size, parts)
+
+
+def _can_fork() -> bool:
+    """Whether a ``_fork_map`` may start here.
+
+    Not where the platform has no ``fork``, only one CPU is allowed, other
+    threads run (a forked child would not have them), this is a daemonic
+    ``multiprocessing`` worker, which may not start processes, or a fork map
+    already runs in this process.
+    """
+    if _in_fork_map or not hasattr(os, "fork") or _cpu_count() < 2 or threading.active_count() > 1:
+        return False
+    mp = sys.modules.get("multiprocessing")  # not imported just to ask
+    return mp is None or not mp.current_process().daemon
 
 
 def _cpu_count() -> int:
@@ -285,3 +296,89 @@ def _count_range(job: tuple[int, int, int, TokenizerConfig, int]) -> Counter[str
     counts: Counter[str] = Counter()
     _count_into(counts, read, config, chunk_size)
     return counts
+
+
+def _fork_map(fn: Callable[[Any], Any], jobs: list[Any], workers: int) -> Iterator[Any]:
+    """Yield fn(job) for each job, in job order, computed in ``workers`` processes.
+
+    Forks ``workers - 1`` children.  Child w computes jobs w, w + workers,
+    ... and pickles (ok, result or exception) for each into a pipe of its
+    own; this process computes jobs 0, workers, ... itself, in turn with
+    reading the children's results.  fn and the jobs reach the children by
+    fork, so only results and exceptions are pickled.  The first failure in
+    job order is raised here, and every child is reaped before this returns
+    or raises.  Call it only where ``_can_fork`` holds.
+    """
+    # imported here, so that importing the CLI does not pay for it
+    import pickle
+
+    global _in_fork_map
+    pids, pipes = [], []
+    done = False
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    for pipe in pipes:
+                        pipe.close()
+                    _serve_share(fn, jobs[w::workers], write_fd)  # never returns
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+        for i, job in enumerate(jobs):
+            w = i % workers
+            if w == 0:
+                _in_fork_map = True
+                try:
+                    result = fn(job)
+                finally:
+                    _in_fork_map = False
+            else:
+                try:
+                    ok, result = pickle.load(pipes[w - 1])
+                except EOFError:
+                    raise ChildProcessError(f"worker process {pids[w - 1]} ended without a result") from None
+                if not ok:
+                    raise result
+            yield result
+        done = True
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if not done:
+            # a child may still be computing results nobody will read
+            import signal
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _serve_share(fn: Callable[[Any], Any], jobs: list[Any], fd: int) -> None:
+    """In a child of ``_fork_map``: pickle (ok, fn(job) or its exception) to fd for each job.
+
+    Stops after the first failure and leaves with ``os._exit``, so that the
+    child runs none of the parent's clean-up and flushes none of its buffers.
+    """
+    import pickle
+
+    global _in_fork_map
+    _in_fork_map = True
+    code = 1
+    try:
+        with open(fd, "wb") as out:
+            for job in jobs:
+                try:
+                    item = (True, fn(job))
+                except Exception as exc:
+                    item = (False, exc)
+                pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
+                if not item[0]:
+                    break
+        code = 0
+    finally:
+        os._exit(code)

@@ -28,7 +28,7 @@ def build_report(
     identical input and config reproduce it byte for byte.
     """
     spec = freq_of_freq(table)
-    ent = entropy(table)
+    ent = entropy(table, spec)
     report: dict = {
         "n_tokens": table.total_tokens,
         "vocab_size": table.vocab_size,

@@ -59,7 +59,11 @@ def freq_of_freq(table: FrequencyTable) -> FreqSpectrum:
     """Histogram the counts: F(k) = number of distinct words occurring exactly k times."""
     if table.is_empty():
         raise EmptyCorpusError("cannot build a spectrum from an empty table")
-    return FreqSpectrum.from_points(dict(Counter(table.counts.values())))
+    # positive int F(k) at positive int k, sorted here: valid by
+    # construction, so FreqSpectrum.from_points is skipped
+    points = dict(sorted(Counter(table.counts.values()).items()))
+    total = sum(k * f for k, f in points.items())
+    return FreqSpectrum(points=points, total_tokens=total, max_k=next(reversed(points)))
 
 
 def spectrum_csv(spec: FreqSpectrum) -> Iterator[str]:

@@ -223,6 +223,75 @@ def test_analyze_in_worker_processes_writes_the_same_bytes(tmp_path, monkeypatch
     assert sorted(split) == [0, 0, 3, 3, 3, 3, 3]
 
 
+def _per_file_inputs(tmp_path, seed: int) -> list[str]:
+    """2-12 small seeded files; some sets hold an empty file or a one-word file."""
+    rng = random.Random(seed)
+    words = ["café", "Straße", "STRASSE", "naïve", "\U0001d518x", "to", "a", "x_1", "Zipf"]
+    paths = []
+    for i in range(rng.randint(2, 12)):
+        text = " ".join(rng.choice(words) for _ in range(rng.randint(1, 300)))
+        path = tmp_path / f"s{seed}-doc{i:02d}.txt"
+        path.write_text(text + rng.choice(["", "\n", ". "]), encoding="utf-8")
+        paths.append(str(path))
+    special = {0: "", 1: "solo solo"}.get(seed % 3)
+    if special is not None:
+        # an empty file is a data error; one word is a recorded fit error
+        with open(paths[rng.randrange(len(paths))], "w", encoding="utf-8") as f:
+            f.write(special)
+    return paths
+
+
+def _spy_fork_maps(monkeypatch) -> list[int]:
+    calls, real = [], corpus._fork_map
+
+    def fork_map(fn, jobs, workers):
+        calls.append(workers)
+        return real(fn, jobs, workers)
+
+    monkeypatch.setattr(corpus, "_fork_map", fork_map)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_per_file_on_every_cpu_writes_what_one_cpu_writes(tmp_path, monkeypatch, capsys, seed):
+    paths = _per_file_inputs(tmp_path, seed)
+    argvs = [["analyze", "--per-file", "--format", fmt, *paths] for fmt in ("json", "text", "csv")]
+    argvs += [["analyze", "--per-file", "--format", "text", "--bits", *paths],
+              ["analyze", "--per-file", "--token-rule", "whitespace", "--no-lowercase", *paths]]
+    fork_maps = _spy_fork_maps(monkeypatch)
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 1)
+    serial = [run_cli(capsys, *argv) for argv in argvs]
+    assert fork_maps == []
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 3)
+    assert [run_cli(capsys, *argv) for argv in argvs] == serial
+    # every argv but the csv one, a usage error, ran its groups in a fork map
+    assert fork_maps == [min(3, len(paths))] * 4
+    expected_code = {0: 2, 1: 2, 2: 0}[seed % 3]
+    assert [code for code, _, _ in serial] == [expected_code, expected_code, 1, expected_code, expected_code]
+
+
+@pytest.mark.parametrize("missing", [0, 1, 10, 19])  # the parent's share and children's
+def test_per_file_missing_input_in_a_fork_map_is_the_serial_io_error(tmp_path, monkeypatch, capsys, missing):
+    paths = []
+    for i in range(20):
+        path = tmp_path / f"doc{i:02d}.txt"
+        if i != missing:
+            path.write_text(f"a a b c{i} café", encoding="utf-8")
+        paths.append(str(path))
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 1)
+    serial = run_cli(capsys, "analyze", "--per-file", *paths)
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 3)
+    fork_maps = _spy_fork_maps(monkeypatch)
+    code, out, err = run_cli(capsys, "analyze", "--per-file", *paths)
+    assert fork_maps == [3]
+    assert (code, out, err) == serial
+    assert code == 3 and out == ""
+    assert err == f"zipfent: error: [Errno 2] No such file or directory: '{paths[missing]}'\n"
+    # every child was reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_per_file_fit_window_beyond_a_files_data_is_a_recorded_fit_error(capsys):
     inputs = os.path.join(os.path.dirname(__file__), "golden", "inputs")
     zipf, two = os.path.join(inputs, "zipf.txt"), os.path.join(inputs, "two.txt")

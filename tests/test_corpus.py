@@ -4,6 +4,7 @@ import bz2
 import gzip
 import io
 import lzma
+import os
 import multiprocessing
 import random
 import tempfile
@@ -300,3 +301,65 @@ def test_count_stream_runs_in_a_pool_worker(tmp_path, monkeypatch):
     with multiprocessing.get_context("fork").Pool(1) as pool:
         (counts,) = pool.map(_count_file, [str(path)])
     assert counts == count_stream([io.BytesIO(data)]).counts
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_fork_map_yields_in_job_order_with_the_parent_taking_share_zero(workers):
+    parent = os.getpid()
+    results = list(corpus._fork_map(lambda j: (j * j, os.getpid() == parent), range(11), workers))
+    assert [r for r, _ in results] == [j * j for j in range(11)]
+    # the parent computes jobs 0, workers, 2 * workers, ...
+    assert [in_parent for _, in_parent in results] == [j % workers == 0 for j in range(11)]
+    _assert_no_child_left()
+
+
+def test_fork_map_forbids_a_fork_map_inside_one(monkeypatch):
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 3)
+    assert corpus._can_fork()
+    assert list(corpus._fork_map(lambda j: corpus._can_fork(), range(6), 3)) == [False] * 6
+    assert corpus._can_fork()
+    _assert_no_child_left()
+
+
+def _fail_at(bad: int, exc: Exception):
+    def fn(j):
+        if j == bad:
+            raise exc
+        return j
+
+    return fn
+
+
+@pytest.mark.parametrize("bad", [0, 4, 7])  # in the parent's share, then two children's
+def test_fork_map_raises_the_first_failure_and_reaps_every_child(bad):
+    fn = _fail_at(bad, FileNotFoundError(2, "No such file or directory", f"doc{bad}.txt"))
+    seen = []
+    with pytest.raises(FileNotFoundError) as exc:
+        for r in corpus._fork_map(fn, range(12), 3):
+            seen.append(r)
+    assert seen == list(range(bad))
+    assert str(exc.value) == f"[Errno 2] No such file or directory: 'doc{bad}.txt'"
+    _assert_no_child_left()
+
+
+def test_fork_map_child_without_a_result_is_an_os_error():
+    def fn(j):
+        if j == 1:
+            os._exit(0)  # in a child: it leaves without writing
+        return j
+
+    with pytest.raises(ChildProcessError, match="ended without a result"):
+        list(corpus._fork_map(fn, range(4), 2))
+    _assert_no_child_left()
+
+
+def test_fork_map_closed_early_stops_and_reaps_its_children():
+    results = corpus._fork_map(lambda j: j, range(100), 3)
+    assert next(results) == 0 and next(results) == 1
+    results.close()
+    _assert_no_child_left()

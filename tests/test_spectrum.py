@@ -1,6 +1,7 @@
 """Frequency-of-frequencies spectrum construction and export."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -54,6 +55,16 @@ def test_conservation_on_random_corpora():
         assert sum(k * f for k, f in spec.points.items()) == table.total_tokens
         assert sum(spec.points.values()) == table.vocab_size
         assert spec.max_k == max(spec.points) == table.max_frequency
+
+
+def test_freq_of_freq_equals_the_validated_spectrum():
+    # freq_of_freq skips from_points, whose checks and sums its points pass
+    rng = random.Random(5)
+    for _ in range(50):
+        table = count_frequencies(random_tokens(rng, max_tokens=400, alphabet=30))
+        spec = freq_of_freq(table)
+        assert spec == FreqSpectrum.from_points(dict(Counter(table.counts.values())))
+        assert list(spec.points) == sorted(spec.points)
 
 
 def test_invariant_under_word_relabeling():
