@@ -19,8 +19,8 @@ from .corpus import TokenizerConfig, count_stream
 # Not used here, but bench/tracer.py wraps these names on this module.
 from .corpus import count_frequencies, merge, read_text, tokenize  # noqa: F401
 from .errors import EmptyCorpusError
-from .report import build_report, report_json, report_text
-from .spectrum import FreqSpectrum, freq_of_freq, spectrum_csv
+from .report import build_report, report_json, report_json_array, report_text
+from .spectrum import freq_of_freq, spectrum_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,7 +114,8 @@ def _cmd_analyze(args) -> int:
     # pooled is one group of every input, --per-file one group per input
     groups = [[p] for p in args.paths] if args.per_file and args.paths else [args.paths]
     report_group = functools.partial(
-        _report_group, config=config, fit_kmin=args.fit_kmin, fit_kmax=args.fit_kmax, csv=args.format == "csv"
+        _report_group, config=config, fit_kmin=args.fit_kmin, fit_kmax=args.fit_kmax, fmt=args.format,
+        bits=args.bits,
     )
     results = map(report_group, groups)
     # the groups run on every CPU, unless a large file is to be cut into
@@ -122,48 +123,55 @@ def _cmd_analyze(args) -> int:
     if len(groups) >= 2 and corpus._can_fork() and not any(map(_is_large_file, args.paths)):
         workers = min(corpus._cpu_count(), len(groups), corpus.MAX_WORKERS)
         results = corpus._fork_map(report_group, groups, workers)
-    reports, empty, spectrum = [], [], None
+    reports, empty = [], []
     # the messages wait until every input is read, so an I/O error on a
     # later input takes precedence
-    for label, rep, spectrum in results:
-        if rep is None:
+    for label, output, fit_error in results:
+        if output is None:
             empty.append(label)
         else:
-            reports.append(rep)
+            reports.append((label, output, fit_error))
     if empty:
         raise EmptyCorpusError(f"empty corpus: {empty[0]}" if args.per_file else "empty corpus")
 
     status = EXIT_OK
-    for rep in reports:
-        if "error" in rep["fit"]:
-            where = f"{rep['config']['inputs'][0]}: " if args.per_file else ""
-            print(f"zipfent: {where}{rep['fit']['error']}", file=sys.stderr)
+    for label, _, fit_error in reports:
+        if fit_error is not None:
+            where = f"{label}: " if args.per_file else ""
+            print(f"zipfent: {where}{fit_error}", file=sys.stderr)
             status = EXIT_DATA
-    if args.format == "json":
-        chunks = [report_json(reports if args.per_file else reports[0])]
-    elif args.format == "csv":
-        chunks = spectrum_csv(spectrum)
+    outputs = [output for _, output, _ in reports]
+    if not args.per_file:
+        chunks = outputs
+    elif args.format == "json":
+        chunks = [report_json_array(outputs)]
     else:
-        header = "== {} ==\n" if args.per_file else ""
-        texts = (header.format(r["config"]["inputs"][0]) + report_text(r, args.bits) for r in reports)
-        chunks = ["\n".join(texts)]
+        chunks = ["\n".join(f"== {label} ==\n{output}" for label, output, _ in reports)]
     _emit(chunks, args.out)
     return status
 
 
 def _report_group(
-    paths: list[str], config: TokenizerConfig, fit_kmin: int | None, fit_kmax: int | None, csv: bool
-) -> tuple[str, dict | None, FreqSpectrum | None]:
-    """Count one group of inputs and report it: (label, report, spectrum if csv).
+    paths: list[str], config: TokenizerConfig, fit_kmin: int | None, fit_kmax: int | None, fmt: str, bits: bool
+) -> tuple[str, str | None, str | None]:
+    """Count one group of inputs and report it: (label, output, fit error).
 
-    The report is None when the group has no words.
+    The output is the report rendered in fmt, or the spectrum for csv, made
+    here so that it is made in the process that counted the group; it is
+    None when the group has no words.
     """
     table = count_stream(_open_inputs(paths), config)
     labels = paths or ["-"]
     if table.is_empty():
         return labels[0], None, None
     report = build_report(table, config, labels, fit_kmin, fit_kmax)
-    return labels[0], report, freq_of_freq(table) if csv else None
+    if fmt == "json":
+        output = report_json(report)
+    elif fmt == "csv":
+        output = "".join(spectrum_csv(freq_of_freq(table)))
+    else:
+        output = report_text(report, bits)
+    return labels[0], output, report["fit"].get("error")
 
 
 def _is_large_file(path: str) -> bool:

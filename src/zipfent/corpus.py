@@ -4,9 +4,13 @@ All words from all inputs are pooled into a single corpus; there is no
 per-document bookkeeping.  ``count_stream`` is the ingestion path for files:
 it counts them chunk by chunk, so memory grows with the vocabulary, not with
 the input, and counts a large regular file on several CPUs with
-``_fork_map``, which the CLI also uses for ``--per-file`` groups.  Tables are
-immutable once built and safe to share across threads; ``merge`` sums them
-and is insensitive to the order of its arguments.
+``_fork_map``, which the CLI also uses for ``--per-file`` groups.  It does
+not call ``tokenize``: it case-folds and splits whole chunks at whitespace
+(token by token in a chunk where folding would change which characters are
+word characters), and re-splits the few distinct tokens that are not one
+word, to the counts that ``tokenize`` gives.  Tables are immutable once built and safe to share
+across threads; ``merge`` sums them and is insensitive to the order of its
+arguments.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass
+from itertools import filterfalse
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
@@ -28,8 +33,24 @@ TOKEN_RULES = ("unicode_words", "whitespace")
 # Runs of Unicode word characters (letters, digits, underscore).
 _WORD_RE = re.compile(r"\w+")
 
+# Maps every ASCII byte that is not a word character to a space.  Bytes of
+# 0x80 or more are kept, and an ASCII byte ends any UTF-8 sequence before it
+# whatever its value, so a chunk decodes to the same characters, U+FFFD
+# included, with ASCII punctuation made spaces.
+_ASCII_NONWORD = bytes(b if b >= 0x80 or chr(b).isalnum() or b == 0x5F else 0x20 for b in range(256))
+
+# A regex class of the characters whose case fold holds a character that is
+# a word character where they are not, or the other way round (U+0130 folds
+# to "i" and the combining U+0307), so that folding a text changes its runs
+# of word characters.  tests/test_corpus.py derives the set from the Unicode
+# tables.  Left to re's cache, so that importing the CLI does not compile it.
+_FOLD_SPLITS = (
+    "[\u0130\u01f0\u0345\u0390\u03b0\u1e96-\u1e99\u1f50\u1f52\u1f54\u1f56\u1fb6\u1fb7"
+    "\u1fc6\u1fc7\u1fd2\u1fd3\u1fd6\u1fd7\u1fe2-\u1fe4\u1fe6\u1fe7\u1ff6\u1ff7]"
+)
+
 # Bytes read per chunk by count_stream.
-CHUNK_SIZE = 1 << 20
+CHUNK_SIZE = 1 << 17
 
 # count_stream counts a regular file with at least this many bytes left in
 # byte ranges on several processes, one per PARALLEL_MIN_BYTES // 2 bytes and
@@ -162,11 +183,12 @@ def count_stream(
     """
     if chunk_size is None:
         chunk_size = CHUNK_SIZE
-    counts: Counter[str] = Counter()
+    counts: Counter[str] = Counter()  # the words of the files cut into byte ranges
+    local: Counter[str] = Counter()  # the tokens of the files counted here
     for f in files:
         ranges = _parallel_ranges(f)
         if len(ranges) < 2:
-            _count_into(counts, f.read, config, chunk_size)
+            _count_into(local, f.read, config, chunk_size)
             continue
         jobs = [(f.fileno(), start, end, config, chunk_size) for start, end in ranges]
         # each partial table is added as it arrives and then dropped
@@ -177,6 +199,11 @@ def count_stream(
                 counts = part
         # the ranges are read with pread; leave f at its end, as f.read would
         f.seek(0, os.SEEK_END)
+    _split_words(local, config)
+    if counts:
+        counts.update(local)
+    else:
+        counts = local
     if config.min_token_length > 1:
         n = config.min_token_length
         counts = {w: c for w, c in counts.items() if len(w) >= n}
@@ -186,34 +213,78 @@ def count_stream(
 def _count_into(
     counts: Counter[str], read: Callable[[int], bytes], config: TokenizerConfig, chunk_size: int
 ) -> None:
-    """Add to counts the words of one file, read with read(chunk_size) until it returns b"".
+    """Add to counts the tokens of one file, read with read(chunk_size) until it returns b"".
 
-    The length filter is left to the caller, which applies it once per
-    distinct word.
+    Both rules count the whitespace-separated tokens of each chunk, case-folded
+    as a whole when lowercasing.  For ``unicode_words`` the ASCII bytes that
+    are not word characters are made spaces first, so nearly every token is
+    one word; ``_split_words`` re-splits the others once per distinct token.
+    Folding a chunk whole changes its words only where it holds a character
+    of ``_FOLD_SPLITS``: such a chunk, and the token joined across each chunk
+    edge, are folded token by token with ``_fold_token``.  ``_split_words``
+    and the length filter are left to the caller, which applies them once
+    per table.
     """
-    if config.token_rule == "whitespace":
-        split, in_token = str.split, lambda c: not c.isspace()
-    else:
-        split, in_token = _WORD_RE.findall, _WORD_RE.match
+    words, fold = config.token_rule == "unicode_words", config.lowercase
     decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
-    carry = ""  # the last word of the text so far, which may go on
+    carry = ""  # the last token of the text so far, which may go on
     while True:
         raw = read(chunk_size)
-        text = decoder.decode(raw, not raw)
-        tokens = split(text)
+        text = decoder.decode(raw.translate(_ASCII_NONWORD) if words else raw, not raw)
+        # folding keeps every character's whitespace-ness, so the whitespace
+        # rule needs no guard
+        unfolded = words and fold and re.search(_FOLD_SPLITS, text)
+        if fold and not unfolded:
+            text = text.casefold()
+        tokens = text.split()
+        edge = bool(carry)
         if carry:
-            # joined to the chunk's first word only, so a long word is
+            # joined to the chunk's first token only, so a long token is
             # not scanned again with every chunk
-            if text and in_token(text[0]):
+            if text and not text[0].isspace():
                 tokens[0] = carry + tokens[0]
             else:
                 tokens.insert(0, carry)
             carry = ""
-        if raw and tokens and (not text or in_token(text[-1])):
+        if raw and tokens and (not text or not text[-1].isspace()):
             carry = tokens.pop()
-        counts.update(map(str.casefold, tokens) if config.lowercase else tokens)
+        if unfolded:
+            tokens = map(_fold_token, tokens)
+        elif words and fold and edge and tokens:
+            # the carry may come from a chunk that was not folded
+            tokens[0] = _fold_token(tokens[0])
+        counts.update(tokens)
         if not raw:
             return
+
+
+def _fold_token(token: str) -> str:
+    """token case-folded if it is one word both before and after folding, else token after a space.
+
+    ``_split_words`` splits a token with a leading space into words before it
+    folds them, as ``tokenize`` does.
+    """
+    folded = token.casefold()
+    return folded if folded.isalnum() and token.isalnum() else " " + token
+
+
+def _split_words(counts: Counter[str], config: TokenizerConfig) -> None:
+    """Replace each token in counts that is not one counted word by the words in it.
+
+    Under ``unicode_words`` a token with a character that is not
+    ``str.isalnum`` gives its runs of word characters (``\\w`` is
+    ``str.isalnum`` or "_"), and none when it has none; those of a token
+    with a leading space are case-folded.  Every such token is taken out
+    before any word is added, since a folded word need not be one word of
+    its own (U+0130 folds to "i" and the combining U+0307).
+    """
+    if config.token_rule != "unicode_words":
+        return
+    tokens = list(filterfalse(str.isalnum, counts))
+    for token, n in zip(tokens, list(map(counts.pop, tokens))):
+        parts = _WORD_RE.findall(token)
+        for word in map(str.casefold, parts) if token[0] == " " else parts:
+            counts[word] += n
 
 
 def _parallel_ranges(f: BinaryIO) -> list[tuple[int, int]]:
@@ -295,6 +366,7 @@ def _count_range(job: tuple[int, int, int, TokenizerConfig, int]) -> Counter[str
 
     counts: Counter[str] = Counter()
     _count_into(counts, read, config, chunk_size)
+    _split_words(counts, config)
     return counts
 
 

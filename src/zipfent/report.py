@@ -78,6 +78,17 @@ def report_json(report: dict | list[dict]) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
+def report_json_array(texts: list[str]) -> str:
+    """The JSON array of one or more reports rendered one by one with ``report_json``.
+
+    The same bytes as ``report_json`` of the list of the reports: a rendered
+    report holds newlines only between its items, so each line is indented
+    one more level.
+    """
+    items = ",\n".join("  " + text[:-1].replace("\n", "\n  ") for text in texts)
+    return "[\n" + items + "\n]\n"
+
+
 def report_text(report: dict, show_bits: bool = False) -> str:
     """Human-readable rendering of a report dict."""
     spectrum = report["spectrum"]

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from zipfent import corpus
 from zipfent.cli import main
-from zipfent.report import report_schema
+from zipfent.corpus import TokenizerConfig, count_frequencies
+from zipfent.report import build_report, report_json, report_json_array, report_schema
 from zipfent.spectrum import FreqSpectrum, spectrum_csv
 from zipfent.synth import SyntheticSpec, _law_k_max, generate_spectrum, spectrum_to_corpus
 
@@ -144,6 +145,16 @@ def test_analyze_per_file_emits_schema_valid_reports(tmp_path, capsys):
     for rep in reports:
         jsonschema.validate(rep, schema)
     assert reports[0]["config"]["inputs"] == [str(tmp_path / "one.txt")]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_report_json_array_is_report_json_of_the_list(n):
+    # labels with characters JSON escapes, and one report with a fit error
+    tables = [count_frequencies("a a b b b c".split()), count_frequencies(["x"]),
+              count_frequencies("p q q r r r r".split())]
+    labels = ["caf\u00e9 \u5317.txt", 'a "b"\n\tc.txt', "-"]
+    reports = [build_report(t, TokenizerConfig(), [label]) for t, label in zip(tables[:n], labels)]
+    assert report_json_array([report_json(r) for r in reports]) == report_json(reports)
 
 
 def test_per_file_with_csv_rejected(tmp_path, capsys):

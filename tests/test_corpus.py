@@ -7,6 +7,8 @@ import lzma
 import os
 import multiprocessing
 import random
+import re
+import sys
 import tempfile
 from collections import Counter
 
@@ -136,14 +138,18 @@ def test_tokenize_deterministic(text):
 
 
 # Byte fragments that stress chunked decoding and tokenizing: ASCII words,
-# separators and whitespace (including non-ASCII whitespace), astral letters
-# and symbols, combining marks, letters whose case fold changes their length,
-# and invalid or truncated UTF-8 sequences.
+# separators and whitespace (including non-ASCII whitespace), ASCII and
+# non-ASCII punctuation, non-ASCII digits and numbers, astral letters and
+# symbols, combining marks, letters whose case fold changes their length,
+# characters whose case fold changes which characters are word characters
+# (U+0130, U+0345, U+0390, U+1FB7), the fold of U+0130 ("i" and the
+# combining U+0307), and invalid or truncated UTF-8 sequences.
 _FRAGMENTS = [
     s.encode("utf-8")
-    for s in ["a", "Zq", "_", "7", " ", "\n", "\t", ".", "-", "\u00a0", "\u3000", "\x1c",
+    for s in ["a", "Zq", "_", "7", " ", "\n", "\t", ".", "-", ",", "'", "(", "\u2014", "\u00ab",
+              "\u00b2", "\u00bd", "A_b", "\u00a0", "\u3000", "\x1c",
               "\U0001d518", "\U00010400", "\U0001f600", "\u00e9", "\u0301", "\u0332",
-              "\u00df", "\u0130", "\ufb01", "\u00c9", "\u5317"]
+              "\u00df", "\u0130", "i\u0307", "\u0345", "\u0390", "\u1fb7", "\ufb01", "\u00c9", "\u5317"]
 ] + [b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9f", b"\xf0\x9f\x98", b"\xed\xa0\x80", b"\xc0\xaf"]
 
 _stream_bytes = st.lists(
@@ -184,6 +190,44 @@ def test_count_stream_hand_count_across_chunk_edges():
     table = count_stream([io.BytesIO(data)], TokenizerConfig(), chunk_size=3)
     assert table.counts == {"strasse": 2, "café": 1, "x": 1}
     assert count_stream([], TokenizerConfig()).is_empty()
+
+
+@pytest.mark.parametrize("text", [
+    # a folded chunk's last word goes on into a chunk that is counted unfolded
+    "Ab Cd\u0130e Fg",
+    # and a word from an unfolded chunk goes on into a folded one
+    "\u0130b Cd Ef GH",
+    "X\u0345Y Z\u0390W A_B, \u2014\u1fb7Q \u00abR\u00bb",
+    # the fold of a word from an unfolded chunk is a token of a folded
+    # chunk that splits in two ("i" and the combining U+0307)
+    "\u0130x a a a a a i\u0307x q",
+])
+@pytest.mark.parametrize("token_rule", TOKEN_RULES)
+def test_count_stream_folds_words_that_cross_into_or_out_of_an_unfolded_chunk(text, token_rule):
+    data = text.encode("utf-8")
+    config = TokenizerConfig(token_rule=token_rule)
+    expected = _one_shot(data, config)
+    assert len(expected) > 1
+    for chunk_size in range(1, len(data) + 2):
+        assert count_stream([io.BytesIO(data)], config, chunk_size).counts == expected
+
+
+def test_fold_splits_holds_every_character_whose_case_fold_changes_its_word_runs():
+    # chunks are case-folded whole and then split; that counts the words a
+    # fold of each word would give only where folding keeps every
+    # character's word-ness and whitespace-ness, and a twice folded word
+    # (one joined across a chunk edge) is the once folded one
+    def is_word(c):
+        return c.isalnum() or c == "_"
+
+    chars = list(map(chr, range(sys.maxunicode + 1)))
+    changed = [(c, c.casefold()) for c in chars if c.casefold() != c]
+    splits = {c for c, f in changed if not f or any(is_word(x) != is_word(c) for x in f)}
+    assert "\u0130" in splits and "\u0345" in splits
+    assert all(re.fullmatch(corpus._FOLD_SPLITS, c) for c in splits)
+    assert all(x.isspace() == c.isspace() for c, f in changed for x in f)
+    assert all(f.casefold() == f for _, f in changed)
+    assert not any(is_word(c) for c in chars if c.isspace())
 
 
 # the fragments above with many space and newline bytes, where ranges are cut
