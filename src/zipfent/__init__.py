@@ -1,71 +1,64 @@
 """Corpus statistics: word-frequency spectra, log-log power-law fits, Shannon
 entropy, and the closed-form entropy ceiling e^(b(1-1/a)) (b/a + 1) with its
-chain of supporting inequalities."""
+chain of supporting inequalities.
 
-from .bound import (
-    ChainDiagnostics,
-    EntropyValue,
-    InequalityResult,
-    chain_check,
-    entropy,
-    entropy_from_spectrum,
-    entropy_upper_bound,
-)
-from .corpus import (
-    FrequencyTable,
-    TokenizerConfig,
-    count_frequencies,
-    count_stream,
-    merge,
-    read_text,
-    tokenize,
-)
-from .errors import BoundNotApplicableError, EmptyCorpusError, InsufficientPointsError
-from .fit import PowerLawFit, fit_loglog
-from .report import build_report, report_json, report_schema, report_text
-from .spectrum import FreqSpectrum, freq_of_freq, spectrum_csv
-from .synth import (
-    SweepRow,
-    SyntheticSpec,
-    generate_spectrum,
-    spectrum_to_corpus,
-    sweep,
-    sweep_csv,
-)
+The public names below are imported from their submodules on first access
+(PEP 562), so ``import zipfent`` loads no submodule and the command line
+loads only the modules its subcommand runs.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundNotApplicableError",
-    "ChainDiagnostics",
-    "EmptyCorpusError",
-    "EntropyValue",
-    "FreqSpectrum",
-    "FrequencyTable",
-    "InequalityResult",
-    "InsufficientPointsError",
-    "PowerLawFit",
-    "SweepRow",
-    "SyntheticSpec",
-    "TokenizerConfig",
-    "build_report",
-    "chain_check",
-    "count_frequencies",
-    "count_stream",
-    "entropy",
-    "entropy_from_spectrum",
-    "entropy_upper_bound",
-    "fit_loglog",
-    "freq_of_freq",
-    "generate_spectrum",
-    "merge",
-    "read_text",
-    "report_json",
-    "report_schema",
-    "report_text",
-    "spectrum_csv",
-    "spectrum_to_corpus",
-    "sweep",
-    "sweep_csv",
-    "tokenize",
-]
+# Each public name and the submodule that defines it
+_EXPORTS = {
+    "BoundNotApplicableError": "errors",
+    "ChainDiagnostics": "bound",
+    "EmptyCorpusError": "errors",
+    "EntropyValue": "bound",
+    "FreqSpectrum": "spectrum",
+    "FrequencyTable": "corpus",
+    "InequalityResult": "bound",
+    "InsufficientPointsError": "errors",
+    "PowerLawFit": "fit",
+    "SweepRow": "synth",
+    "SyntheticSpec": "synth",
+    "TokenizerConfig": "corpus",
+    "build_report": "report",
+    "chain_check": "bound",
+    "count_frequencies": "corpus",
+    "count_stream": "corpus",
+    "entropy": "bound",
+    "entropy_from_spectrum": "bound",
+    "entropy_upper_bound": "bound",
+    "fit_loglog": "fit",
+    "freq_of_freq": "spectrum",
+    "generate_spectrum": "synth",
+    "merge": "corpus",
+    "read_text": "corpus",
+    "report_json": "report",
+    "report_schema": "report",
+    "report_text": "report",
+    "spectrum_csv": "spectrum",
+    "spectrum_to_corpus": "synth",
+    "sweep": "synth",
+    "sweep_csv": "synth",
+    "tokenize": "corpus",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -11,10 +11,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
+from typing import TYPE_CHECKING
 
-from .corpus import FrequencyTable
 from .errors import BoundNotApplicableError, EmptyCorpusError
 from .spectrum import FreqSpectrum
+
+if TYPE_CHECKING:
+    from .corpus import FrequencyTable
 
 _LN2 = math.log(2)
 

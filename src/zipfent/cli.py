@@ -3,6 +3,10 @@
 Reports go to stdout (or --out), diagnostics to stderr, so the tool composes
 in pipelines.  Exit codes: 0 success, 1 usage error, 2 data error (empty
 corpus, insufficient fit points), 3 I/O error.
+
+Each command imports the modules it runs when it starts: ``analyze`` the
+corpus, report and spectrum modules, ``gen`` and ``sweep`` the synth module.
+So a sweep never loads the corpus, fit or report code, nor ``json``.
 """
 
 from __future__ import annotations
@@ -12,15 +16,12 @@ import functools
 import os
 import stat
 import sys
-from typing import BinaryIO, Iterable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
 
-from . import corpus, synth
-from .corpus import TokenizerConfig, count_stream
-# Not used here, but bench/tracer.py wraps these names on this module.
-from .corpus import count_frequencies, merge, read_text, tokenize  # noqa: F401
 from .errors import EmptyCorpusError
-from .report import build_report, report_json, report_json_array, report_text
-from .spectrum import freq_of_freq, spectrum_csv
+
+if TYPE_CHECKING:
+    from .corpus import TokenizerConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -104,9 +105,12 @@ def _open_inputs(paths: list[str]) -> Iterator[BinaryIO]:
 
 
 def _cmd_analyze(args) -> int:
+    from . import corpus
+    from .report import report_json_array
+
     if args.per_file and args.format == "csv":
         raise ValueError("--per-file cannot be combined with --format csv")
-    config = TokenizerConfig(
+    config = corpus.TokenizerConfig(
         lowercase=args.lowercase,
         min_token_length=args.min_token_len,
         token_rule=args.token_rule,
@@ -160,6 +164,10 @@ def _report_group(
     here so that it is made in the process that counted the group; it is
     None when the group has no words.
     """
+    from .corpus import count_stream
+    from .report import build_report, report_json, report_text
+    from .spectrum import freq_of_freq, spectrum_csv
+
     table = count_stream(_open_inputs(paths), config)
     labels = paths or ["-"]
     if table.is_empty():
@@ -176,6 +184,8 @@ def _report_group(
 
 def _is_large_file(path: str) -> bool:
     """Whether path is a regular file that count_stream may cut into byte ranges."""
+    from . import corpus
+
     try:
         info = os.stat(path)
     except OSError:  # reported when it is opened
@@ -184,6 +194,9 @@ def _is_large_file(path: str) -> bool:
 
 
 def _cmd_gen(args) -> int:
+    from . import synth
+    from .spectrum import spectrum_csv
+
     spec = synth.SyntheticSpec(a=args.a, b=args.b, mode=_MODE_NAMES[args.mode], k_cap=args.k_cap)
     if spec.mode == "rounded_integer":
         chunks = synth.generate_corpus(spec)
@@ -207,6 +220,8 @@ def _parse_grid(raw: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
+    from . import synth
+
     rows = synth.sweep(
         _parse_grid(args.a), _parse_grid(args.b), mode=_MODE_NAMES[args.mode], k_cap=args.k_cap
     )
@@ -215,6 +230,18 @@ def _cmd_sweep(args) -> int:
             print(f"zipfent: sweep cell a={row.a} b={row.b}: {row.error}", file=sys.stderr)
     _emit([synth.sweep_csv(rows)], args.out)
     return EXIT_OK
+
+
+# bench/tracer.py wraps these names on this module.  The commands import what
+# they run, so no call goes through these names and their spans stay empty;
+# they resolve from the package on first access.
+_TRACER_NAMES = ("read_text", "tokenize", "count_frequencies", "merge", "build_report", "report_json")
+
+
+def __getattr__(name: str):
+    if name not in _TRACER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -7,9 +7,12 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import islice
+from typing import TYPE_CHECKING
 
-from .corpus import FrequencyTable
 from .errors import EmptyCorpusError
+
+if TYPE_CHECKING:
+    from .corpus import FrequencyTable
 
 # spectrum_csv writes at most this many rows per block, so a large spectrum
 # never builds one huge string.

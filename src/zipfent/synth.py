@@ -15,7 +15,8 @@ from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence, Va
 from dataclasses import astuple, dataclass
 
 from .bound import chain_diagnostics, entropy_upper_bound
-# Not used here, but bench/tracer.py wraps these names on this module.
+# bench/tracer.py wraps these names on this module.  Nothing here calls them
+# (sweep works from power sums), so their spans stay empty.
 from .bound import chain_check, entropy_from_spectrum  # noqa: F401
 from .spectrum import FreqSpectrum, _exact_sum
 

@@ -55,6 +55,11 @@ CASES = [
     ("empty_stdin", ["analyze"], "empty.txt"),
     ("missing", ["analyze", "zipf.txt", "missing.txt"], None),
     ("per_file_csv", ["analyze", "--per-file", "--format", "csv", "zipf.txt"], None),
+    # punct.txt: non-ASCII punctuation inside and around words, `_`, İ, and
+    # invalid bytes next to words
+    ("punct_json", ["analyze", "punct.txt"], None),
+    ("punct_whitespace", ["analyze", "--token-rule", "whitespace", "punct.txt"], None),
+    ("punct_no_lowercase", ["analyze", "--no-lowercase", "punct.txt"], None),
     ("sweep_exact", ["sweep", "--a", "1,1.5,2", "--b", "2,4,6"], None),
     ("sweep_rounded", ["sweep", "--a", "1,2", "--b", "2,4", "--mode", "rounded"], None),
     ("sweep_rounded_k_cap", ["sweep", "--a", "1.5", "--b", "3,5", "--mode", "rounded", "--k-cap", "5"], None),
