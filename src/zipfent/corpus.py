@@ -2,20 +2,20 @@
 
 All words from all inputs are pooled into a single corpus; there is no
 per-document bookkeeping.  ``count_stream`` is the ingestion path for files:
-it counts them chunk by chunk, so memory grows with the vocabulary, not with
-the input, and counts a large regular file on several CPUs with
-``_fork_map``, which the CLI also uses for ``--per-file`` groups.  It does
-not call ``tokenize``: it case-folds and splits whole chunks at whitespace
-(token by token in a chunk where folding would change which characters are
-word characters), and re-splits the few distinct tokens that are not one
-word, to the counts that ``tokenize`` gives.  Tables are immutable once built and safe to share
-across threads; ``merge`` sums them and is insensitive to the order of its
-arguments.
+it counts them in pieces cut after ASCII separator bytes, so memory grows
+with the vocabulary and the longest run without one, not with the input,
+and counts a large regular file on several CPUs with ``_fork_map``, which
+the CLI also uses for ``--per-file`` groups.  It does not call
+``tokenize``: it case-folds and splits whole pieces at whitespace (token by
+token in a piece where folding would change which characters are word
+characters), and re-splits the few distinct tokens that are not one word,
+to the counts that ``tokenize`` gives.  Tables are immutable once built and
+safe to share across threads; ``merge`` sums them and is insensitive to the
+order of its arguments.
 """
 
 from __future__ import annotations
 
-import codecs
 import io
 import os
 import re
@@ -33,11 +33,12 @@ TOKEN_RULES = ("unicode_words", "whitespace")
 # Runs of Unicode word characters (letters, digits, underscore).
 _WORD_RE = re.compile(r"\w+")
 
-# Maps every ASCII byte that is not a word character to a space.  Bytes of
-# 0x80 or more are kept, and an ASCII byte ends any UTF-8 sequence before it
-# whatever its value, so a chunk decodes to the same characters, U+FFFD
-# included, with ASCII punctuation made spaces.
+# Map every ASCII byte that is not a word character, or the 10 ASCII
+# whitespace bytes, to a space.  Bytes of 0x80 or more are kept, and an ASCII
+# byte ends any UTF-8 sequence before it whatever its value, so a text
+# decodes to the same characters, U+FFFD included, with those bytes spaces.
 _ASCII_NONWORD = bytes(b if b >= 0x80 or chr(b).isalnum() or b == 0x5F else 0x20 for b in range(256))
+_ASCII_WHITESPACE = bytes(0x20 if b < 0x80 and chr(b).isspace() else b for b in range(256))
 
 # A regex class of the characters whose case fold holds a character that is
 # a word character where they are not, or the other way round (U+0130 folds
@@ -167,11 +168,11 @@ def count_stream(
     """Count the words of binary UTF-8 files, read in order, pooled into one table.
 
     Equal to merging ``count_frequencies(tokenize(text, config))`` over the
-    decoded text of each file, but holds no more than one chunk of text at a
-    time: invalid bytes decode to U+FFFD exactly as a one-shot decode would,
-    and a word cut by the end of a chunk is carried into the next one.
-    Memory grows with the vocabulary, not with the input.  ``chunk_size``
-    is in bytes, ``CHUNK_SIZE`` when None.
+    decoded text of each file, but read ``chunk_size`` bytes at a time
+    (``CHUNK_SIZE`` when None) and counted up to the last ASCII separator
+    byte read (``_count_into``); invalid bytes decode to U+FFFD exactly as a
+    one-shot decode would.  Memory grows with the vocabulary and the longest
+    run without an ASCII separator, not with the input.
 
     A regular file opened with ``open`` (not a decompressing reader) with at
     least ``PARALLEL_MIN_BYTES`` left to read is cut into byte ranges at space
@@ -215,45 +216,39 @@ def _count_into(
 ) -> None:
     """Add to counts the tokens of one file, read with read(chunk_size) until it returns b"".
 
-    Both rules count the whitespace-separated tokens of each chunk, case-folded
-    as a whole when lowercasing.  For ``unicode_words`` the ASCII bytes that
-    are not word characters are made spaces first, so nearly every token is
-    one word; ``_split_words`` re-splits the others once per distinct token.
-    Folding a chunk whole changes its words only where it holds a character
-    of ``_FOLD_SPLITS``: such a chunk, and the token joined across each chunk
-    edge, are folded token by token with ``_fold_token``.  ``_split_words``
-    and the length filter are left to the caller, which applies them once
-    per table.
+    The ASCII bytes that separate tokens, the non-word ones under
+    ``unicode_words`` and the whitespace under ``whitespace``, are made
+    spaces.  The bytes read up to the last space byte, or to the end of the
+    file, are a piece: it holds whole tokens and UTF-8 sequences, and is
+    decoded once, case-folded as a whole when lowercasing (token by token
+    with ``_fold_token`` if it holds a character of ``_FOLD_SPLITS``), split
+    at whitespace and counted.  ``_split_words`` re-splits the tokens that
+    are not one word, and the length filter drops the short ones; the caller
+    applies both once per table.
     """
     words, fold = config.token_rule == "unicode_words", config.lowercase
-    decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
-    carry = ""  # the last token of the text so far, which may go on
+    spaces = _ASCII_NONWORD if words else _ASCII_WHITESPACE
+    pending: list[bytes] = []  # the bytes read after the last space byte
     while True:
-        raw = read(chunk_size)
-        text = decoder.decode(raw.translate(_ASCII_NONWORD) if words else raw, not raw)
+        raw = read(chunk_size).translate(spaces)
+        cut = raw.rfind(b" ") + 1
+        if raw and not cut:
+            pending.append(raw)
+            continue
+        pending.append(raw[:cut])
+        piece = b"".join(pending)
+        # the chunks are dropped before decoding and the piece after it, so
+        # that a long token is held at most twice, as bytes and as text
+        pending = [raw[cut:]]
+        text = str(piece, "utf-8", "replace")
+        del piece
         # folding keeps every character's whitespace-ness, so the whitespace
         # rule needs no guard
         unfolded = words and fold and re.search(_FOLD_SPLITS, text)
         if fold and not unfolded:
             text = text.casefold()
         tokens = text.split()
-        edge = bool(carry)
-        if carry:
-            # joined to the chunk's first token only, so a long token is
-            # not scanned again with every chunk
-            if text and not text[0].isspace():
-                tokens[0] = carry + tokens[0]
-            else:
-                tokens.insert(0, carry)
-            carry = ""
-        if raw and tokens and (not text or not text[-1].isspace()):
-            carry = tokens.pop()
-        if unfolded:
-            tokens = map(_fold_token, tokens)
-        elif words and fold and edge and tokens:
-            # the carry may come from a chunk that was not folded
-            tokens[0] = _fold_token(tokens[0])
-        counts.update(tokens)
+        counts.update(map(_fold_token, tokens) if unfolded else tokens)
         if not raw:
             return
 

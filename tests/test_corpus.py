@@ -10,6 +10,7 @@ import random
 import re
 import sys
 import tempfile
+import time
 from collections import Counter
 
 import pytest
@@ -147,7 +148,8 @@ def test_tokenize_deterministic(text):
 _FRAGMENTS = [
     s.encode("utf-8")
     for s in ["a", "Zq", "_", "7", " ", "\n", "\t", ".", "-", ",", "'", "(", "\u2014", "\u00ab",
-              "\u00b2", "\u00bd", "A_b", "\u00a0", "\u3000", "\x1c",
+              "\u00b2", "\u00bd", "A_b", "\u00a0", "\u3000", "\x1c", "\r", "\x0b", "\x0c", "\x1d",
+              "\x1f", "\x85", "\u2028",
               "\U0001d518", "\U00010400", "\U0001f600", "\u00e9", "\u0301", "\u0332",
               "\u00df", "\u0130", "i\u0307", "\u0345", "\u0390", "\u1fb7", "\ufb01", "\u00c9", "\u5317"]
 ] + [b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9f", b"\xf0\x9f\x98", b"\xed\xa0\x80", b"\xc0\xaf"]
@@ -212,11 +214,26 @@ def test_count_stream_folds_words_that_cross_into_or_out_of_an_unfolded_chunk(te
         assert count_stream([io.BytesIO(data)], config, chunk_size).counts == expected
 
 
+@pytest.mark.parametrize(
+    "data", [b"x" * (1 << 21), "\u5317".encode("utf-8") * 700_000], ids=["ascii", "three_byte"]
+)
+@pytest.mark.parametrize("token_rule", TOKEN_RULES)
+def test_count_stream_counts_a_long_token_in_linear_time(data, token_rule):
+    # one token of 2 MiB read in 64-byte chunks, which cut the three-byte
+    # sequences of U+5317; re-joining and re-folding the token with every
+    # chunk would take seconds
+    config = TokenizerConfig(token_rule=token_rule)
+    start = time.perf_counter()
+    table = count_stream([io.BytesIO(data)], config, 64)
+    assert time.perf_counter() - start < 2
+    assert table.counts == _one_shot(data, config)
+
+
 def test_fold_splits_holds_every_character_whose_case_fold_changes_its_word_runs():
     # chunks are case-folded whole and then split; that counts the words a
     # fold of each word would give only where folding keeps every
-    # character's word-ness and whitespace-ness, and a twice folded word
-    # (one joined across a chunk edge) is the once folded one
+    # character's word-ness and whitespace-ness; and a fold is its own fold,
+    # which no count path needs now that each token is folded once
     def is_word(c):
         return c.isalnum() or c == "_"
 
