@@ -3,15 +3,22 @@
 All words from all inputs are pooled into a single corpus; there is no
 per-document bookkeeping.  ``count_stream`` is the ingestion path for files:
 it counts them in pieces cut after ASCII separator bytes, so memory grows
-with the vocabulary and the longest run without one, not with the input,
-and counts a large regular file on several CPUs with ``_fork_map``, which
-the CLI also uses for ``--per-file`` groups.  It does not call
-``tokenize``: it case-folds and splits whole pieces at whitespace (token by
-token in a piece where folding would change which characters are word
-characters), and re-splits the few distinct tokens that are not one word,
-to the counts that ``tokenize`` gives.  Tables are immutable once built and
-safe to share across threads; ``merge`` sums them and is insensitive to the
-order of its arguments.
+with the vocabulary and the longest run without one, not with the input.
+It does not call ``tokenize``, and takes one of two paths by input size.
+
+A regular file of at least ``PARALLEL_MIN_BYTES`` is cut into byte ranges,
+counted on several CPUs with ``_fork_map`` (which the CLI also uses for
+``--per-file`` groups) or as one range where no fork may start.  A range
+counts the raw byte tokens of its pieces, then decodes, splits and folds
+each distinct token once.  That pays on such a file, where few tokens are
+new: a range of the 39 MB bench text holds 7.8% distinct tokens, and a
+2,500-word file of the per-file bench 56.6%, which it counted slower.  Every other input is decoded
+piece by piece, case-folded whole (token by token in a piece where folding
+would change which characters are word characters) and split at
+whitespace, and the few distinct tokens that are not one word are re-split.
+Both give the counts that ``tokenize`` gives.  Tables are immutable once
+built and safe to share across threads; ``merge`` sums them and is
+insensitive to the order of its arguments.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import chain, filterfalse, islice
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
@@ -39,6 +46,8 @@ _WORD_RE = re.compile(r"\w+")
 # decodes to the same characters, U+FFFD included, with those bytes spaces.
 _ASCII_NONWORD = bytes(b if b >= 0x80 or chr(b).isalnum() or b == 0x5F else 0x20 for b in range(256))
 _ASCII_WHITESPACE = bytes(0x20 if b < 0x80 and chr(b).isspace() else b for b in range(256))
+# Map A-Z to a-z, which is what str.casefold does to ASCII.
+_ASCII_LOWER = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ", b"abcdefghijklmnopqrstuvwxyz")
 
 # A regex class of the characters whose case fold holds a character that is
 # a word character where they are not, or the other way round (U+0130 folds
@@ -67,6 +76,9 @@ _in_fork_map = False
 # Ranges are cut at these bytes, searched for this far past an even share.
 _CUT_RE = re.compile(rb"[ \n]")
 _CUT_SEARCH_BYTES = 1 << 16
+
+# Byte tokens converted to words at a time by _words_of_tokens.
+_CONVERT_BATCH = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -170,17 +182,21 @@ def count_stream(
     Equal to merging ``count_frequencies(tokenize(text, config))`` over the
     decoded text of each file, but read ``chunk_size`` bytes at a time
     (``CHUNK_SIZE`` when None) and counted up to the last ASCII separator
-    byte read (``_count_into``); invalid bytes decode to U+FFFD exactly as a
+    byte read (``_pieces``); invalid bytes decode to U+FFFD exactly as a
     one-shot decode would.  Memory grows with the vocabulary and the longest
     run without an ASCII separator, not with the input.
 
     A regular file opened with ``open`` (not a decompressing reader) with at
     least ``PARALLEL_MIN_BYTES`` left to read is cut into byte ranges at space
-    or newline bytes where ``_can_fork`` allows, one per CPU and at most
-    ``MAX_WORKERS``.  This process counts the first range itself and forked
-    children count the others; the table is the same, and each process
-    holds a partial vocabulary of its own.  Either way each file is left at
-    its end.
+    or newline bytes, one per CPU and at most ``MAX_WORKERS``, or taken as
+    one range where ``_can_fork`` is false.  This process counts the first
+    range itself and forked children count the others; the table is the
+    same, and each process holds a partial vocabulary of its own.  A range
+    counts byte tokens and converts each distinct one once
+    (``_count_range``), which pays where most tokens repeat one already
+    counted; every other file is decoded and split piece by piece
+    (``_count_into``), which pays where most are new.  Either way each file
+    is left at its end.
     """
     if chunk_size is None:
         chunk_size = CHUNK_SIZE
@@ -188,16 +204,20 @@ def count_stream(
     local: Counter[str] = Counter()  # the tokens of the files counted here
     for f in files:
         ranges = _parallel_ranges(f)
-        if len(ranges) < 2:
+        if not ranges:
             _count_into(local, f.read, config, chunk_size)
             continue
         jobs = [(f.fileno(), start, end, config, chunk_size) for start, end in ranges]
+        parts = _fork_map(_packed_range, jobs, len(jobs)) if len(jobs) > 1 else map(_packed_range, jobs)
         # each partial table is added as it arrives and then dropped
-        for part in _fork_map(_count_range, jobs, len(jobs)):
+        for words, ns in parts:
+            pairs = zip(words.split(" "), ns)
             if counts:
-                counts.update(part)
+                get = counts.get
+                for word, n in pairs:
+                    counts[word] = get(word, 0) + n
             else:
-                counts = part
+                dict.update(counts, pairs)
         # the ranges are read with pread; leave f at its end, as f.read would
         f.seek(0, os.SEEK_END)
     _split_words(local, config)
@@ -216,31 +236,17 @@ def _count_into(
 ) -> None:
     """Add to counts the tokens of one file, read with read(chunk_size) until it returns b"".
 
-    The ASCII bytes that separate tokens, the non-word ones under
-    ``unicode_words`` and the whitespace under ``whitespace``, are made
-    spaces.  The bytes read up to the last space byte, or to the end of the
-    file, are a piece: it holds whole tokens and UTF-8 sequences, and is
-    decoded once, case-folded as a whole when lowercasing (token by token
-    with ``_fold_token`` if it holds a character of ``_FOLD_SPLITS``), split
-    at whitespace and counted.  ``_split_words`` re-splits the tokens that
-    are not one word, and the length filter drops the short ones; the caller
-    applies both once per table.
+    Each piece of ``_pieces`` is decoded once, case-folded as a whole when
+    lowercasing (token by token with ``_fold_token`` if it holds a character
+    of ``_FOLD_SPLITS``), split at whitespace and counted.  ``_split_words``
+    re-splits the tokens that are not one word, and the length filter drops
+    the short ones; the caller applies both once per table.
     """
     words, fold = config.token_rule == "unicode_words", config.lowercase
-    spaces = _ASCII_NONWORD if words else _ASCII_WHITESPACE
-    pending: list[bytes] = []  # the bytes read after the last space byte
-    while True:
-        raw = read(chunk_size).translate(spaces)
-        cut = raw.rfind(b" ") + 1
-        if raw and not cut:
-            pending.append(raw)
-            continue
-        pending.append(raw[:cut])
-        piece = b"".join(pending)
-        # the chunks are dropped before decoding and the piece after it, so
-        # that a long token is held at most twice, as bytes and as text
-        pending = [raw[cut:]]
+    for piece in _pieces(read, config, chunk_size):
         text = str(piece, "utf-8", "replace")
+        # the piece is dropped after decoding, so that a long token is held
+        # at most twice, as bytes and as text
         del piece
         # folding keeps every character's whitespace-ness, so the whitespace
         # rule needs no guard
@@ -249,6 +255,33 @@ def _count_into(
             text = text.casefold()
         tokens = text.split()
         counts.update(map(_fold_token, tokens) if unfolded else tokens)
+
+
+def _pieces(read: Callable[[int], bytes], config: TokenizerConfig, chunk_size: int) -> Iterator[bytes]:
+    """The bytes of one file, read with read(chunk_size) until it returns b"", in pieces of whole tokens.
+
+    The ASCII bytes that separate tokens, the non-word ones under
+    ``unicode_words`` and the whitespace under ``whitespace``, are made
+    spaces, and A-Z are made a-z when lowercasing.  The bytes read up to the
+    last space byte, or to the end of the file, are a piece: it holds whole
+    tokens and whole UTF-8 sequences, so each of its tokens decodes as it
+    does in the whole text.
+    """
+    table = _ASCII_NONWORD if config.token_rule == "unicode_words" else _ASCII_WHITESPACE
+    if config.lowercase:
+        table = table.translate(_ASCII_LOWER)
+    pending: list[bytes] = []  # the bytes read after the last space byte
+    while True:
+        raw = read(chunk_size).translate(table)
+        cut = raw.rfind(b" ") + 1
+        if raw and not cut:
+            pending.append(raw)
+            continue
+        pending.append(raw[:cut])
+        # the chunks are dropped before the piece is yielded, and this frame
+        # keeps no reference to it, so that the caller can drop a long token
+        pending = [b"".join(pending), raw[cut:]]
+        yield pending.pop(0)
         if not raw:
             return
 
@@ -285,10 +318,11 @@ def _split_words(counts: Counter[str], config: TokenizerConfig) -> None:
 def _parallel_ranges(f: BinaryIO) -> list[tuple[int, int]]:
     """The byte ranges in which count_stream counts f, one each in a ``_fork_map`` share.
 
-    Fewer than two means f is counted in this process alone: it is not a
-    plain OS file whose bytes are the ones it reads (a pipe, a terminal, an
-    in-memory buffer, a gzip, bz2 or lzma reader over a file), has fewer than
-    ``PARALLEL_MIN_BYTES`` left, or ``_can_fork`` is false.
+    No range means f is read as a stream: it is not a plain OS file whose bytes
+    are the ones it reads (a pipe, a terminal, an in-memory buffer, a gzip,
+    bz2 or lzma reader over a file), or has fewer than ``PARALLEL_MIN_BYTES``
+    left.  One range means f is counted in this process alone: ``_can_fork``
+    is false or no cut was found.
     """
     if not isinstance(f, (io.BufferedReader, io.BufferedRandom, io.FileIO)):
         return []
@@ -299,9 +333,9 @@ def _parallel_ranges(f: BinaryIO) -> list[tuple[int, int]]:
     info = os.fstat(fd)
     if not stat.S_ISREG(info.st_mode) or info.st_size - start < PARALLEL_MIN_BYTES:
         return []
-    if not _can_fork():
-        return []
     parts = min(_cpu_count(), (info.st_size - start) // (PARALLEL_MIN_BYTES // 2), MAX_WORKERS)
+    if not _can_fork():
+        parts = 1
     return _byte_ranges(fd, start, info.st_size, parts)
 
 
@@ -349,7 +383,14 @@ def _byte_ranges(fd: int, start: int, end: int, parts: int) -> list[tuple[int, i
 
 
 def _count_range(job: tuple[int, int, int, TokenizerConfig, int]) -> Counter[str]:
-    """Worker: the words in bytes [start, end) of the file fd, which it has by fork."""
+    """The words in bytes [start, end) of the file fd, which a worker has by fork.
+
+    Counts the byte tokens of each of ``_pieces`` and then converts each
+    distinct token once (``_words_of_tokens``), so that decoding, folding
+    and splitting cost per distinct token, not per token.  A range ends
+    before a space or newline byte, so its tokens decode as they do in the
+    whole file.
+    """
     fd, start, end, config, chunk_size = job
     pos = start
 
@@ -359,9 +400,64 @@ def _count_range(job: tuple[int, int, int, TokenizerConfig, int]) -> Counter[str
         pos += len(raw)
         return raw
 
+    # no name holds the last piece, which may be one long token
+    tokens = Counter(chain.from_iterable(map(bytes.split, _pieces(read, config, chunk_size))))
+    return _words_of_tokens(tokens, config)
+
+
+def _packed_range(job: tuple[int, int, int, TokenizerConfig, int]) -> tuple[str, list[int]]:
+    """Worker: ``_count_range`` as its words joined by spaces and their counts.
+
+    No word holds a space.  A forked child pickles the two and this process
+    loads them several times faster than the table itself.
+    """
+    counts = _count_range(job)
+    return " ".join(counts), list(counts.values())
+
+
+def _words_of_tokens(tokens: Counter[bytes], config: TokenizerConfig) -> Counter[str]:
+    """The words of the counted byte tokens of ``_pieces``, as ``tokenize`` splits and folds them; empties tokens.
+
+    An ASCII token is one word under both rules and already folded: the
+    ASCII tokens are decoded together and inserted first, as distinct ones
+    give distinct words.  The other tokens are decoded and case-folded
+    together, and each is split as ``tokenize`` splits it (one word if it is
+    ``str.isalnum``), with its count added: several tokens can give one
+    word, ASCII ones too (U+212A folds to "k").  Both are done
+    ``_CONVERT_BATCH`` tokens at a time, popped from tokens, so that the two
+    tables are not both whole at once.
+    """
     counts: Counter[str] = Counter()
-    _count_into(counts, read, config, chunk_size)
-    _split_words(counts, config)
+    ascii_tokens = list(filter(bytes.isascii, tokens))
+    while ascii_tokens:
+        batch = ascii_tokens[-_CONVERT_BATCH:]
+        del ascii_tokens[-_CONVERT_BATCH:]
+        words = b" ".join(batch).decode("ascii").split(" ")
+        # dict.update: Counter.update would count the pairs
+        dict.update(counts, zip(words, map(tokens.pop, batch)))
+    get, fold, whitespace = counts.get, config.lowercase, config.token_rule == "whitespace"
+    while batch := list(islice(tokens, _CONVERT_BATCH)):
+        ns = list(map(tokens.pop, batch))
+        # a space ends any UTF-8 sequence before it, and no character folds
+        # to a space, so the tokens are decoded and folded as one by one
+        joined = b" ".join(batch).decode("utf-8", "replace")
+        # the bytes are dropped before folding, so that a long token is held
+        # at most twice
+        del batch
+        texts = joined.split(" ")
+        words = joined.casefold().split(" ") if fold else texts
+        for text, word, n in zip(texts, words, ns):
+            if text.isalnum():  # one word under both rules
+                parts: Iterable[str] = (word,)
+            elif whitespace:
+                # folding keeps every character's whitespace-ness
+                parts = word.split()
+            else:
+                parts = _WORD_RE.findall(text)
+                if fold:
+                    parts = map(str.casefold, parts)
+            for part in parts:
+                counts[part] = get(part, 0) + n
     return counts
 
 

@@ -144,14 +144,16 @@ def test_tokenize_deterministic(text):
 # symbols, combining marks, letters whose case fold changes their length,
 # characters whose case fold changes which characters are word characters
 # (U+0130, U+0345, U+0390, U+1FB7), the fold of U+0130 ("i" and the
-# combining U+0307), and invalid or truncated UTF-8 sequences.
+# combining U+0307), letters that fold onto an ASCII letter (U+212A to "k",
+# U+017F to "s"), and invalid or truncated UTF-8 sequences.
 _FRAGMENTS = [
     s.encode("utf-8")
     for s in ["a", "Zq", "_", "7", " ", "\n", "\t", ".", "-", ",", "'", "(", "\u2014", "\u00ab",
               "\u00b2", "\u00bd", "A_b", "\u00a0", "\u3000", "\x1c", "\r", "\x0b", "\x0c", "\x1d",
               "\x1f", "\x85", "\u2028",
               "\U0001d518", "\U00010400", "\U0001f600", "\u00e9", "\u0301", "\u0332",
-              "\u00df", "\u0130", "i\u0307", "\u0345", "\u0390", "\u1fb7", "\ufb01", "\u00c9", "\u5317"]
+              "\u00df", "\u0130", "i\u0307", "\u0345", "\u0390", "\u1fb7", "\ufb01", "\u00c9", "\u5317",
+              "K", "\u212a", "s", "\u017f"]
 ] + [b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9f", b"\xf0\x9f\x98", b"\xed\xa0\x80", b"\xc0\xaf"]
 
 _stream_bytes = st.lists(
@@ -232,8 +234,10 @@ def test_count_stream_counts_a_long_token_in_linear_time(data, token_rule):
 def test_fold_splits_holds_every_character_whose_case_fold_changes_its_word_runs():
     # chunks are case-folded whole and then split; that counts the words a
     # fold of each word would give only where folding keeps every
-    # character's word-ness and whitespace-ness; and a fold is its own fold,
-    # which no count path needs now that each token is folded once
+    # character's word-ness and whitespace-ness; a fold is its own fold,
+    # which no count path needs now that each token is folded once; and the
+    # byte tokens of a range are folded joined by spaces, which needs that no
+    # character folds to a space
     def is_word(c):
         return c.isalnum() or c == "_"
 
@@ -244,6 +248,7 @@ def test_fold_splits_holds_every_character_whose_case_fold_changes_its_word_runs
     assert all(re.fullmatch(corpus._FOLD_SPLITS, c) for c in splits)
     assert all(x.isspace() == c.isspace() for c, f in changed for x in f)
     assert all(f.casefold() == f for _, f in changed)
+    assert not any(" " in f for _, f in changed)
     assert not any(is_word(c) for c in chars if c.isspace())
 
 
@@ -270,7 +275,8 @@ def test_byte_ranges_count_to_the_count_of_the_whole_file(prefix, data, config, 
         ranges = corpus._byte_ranges(fd, start, end, parts)
         total: Counter[str] = Counter()
         for lo, hi in ranges:
-            total.update(corpus._count_range((fd, lo, hi, config, chunk_size)))
+            words, ns = corpus._packed_range((fd, lo, hi, config, chunk_size))
+            total.update(dict(zip(words.split(" "), ns, strict=True)) if ns else {})
     assert 1 <= len(ranges) <= parts
     assert ranges[0][0] == start and ranges[-1][1] == end
     for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
@@ -278,6 +284,23 @@ def test_byte_ranges_count_to_the_count_of_the_whole_file(prefix, data, config, 
     n = config.min_token_length
     whole = count_stream([io.BytesIO(data)], config).counts
     assert {w: c for w, c in total.items() if len(w) >= n} == whole == _one_shot(data, config)
+
+
+@pytest.mark.parametrize("token_rule", TOKEN_RULES)
+@pytest.mark.parametrize("lowercase, expected", [
+    (True, {"k": 3, "s": 3}),
+    (False, {"k": 1, "K": 1, "\u212a": 1, "s": 1, "S": 1, "\u017f": 1}),
+])
+def test_count_range_adds_a_token_that_folds_onto_an_ascii_word_to_its_count(token_rule, lowercase, expected):
+    # U+212A (KELVIN SIGN) folds to "k" and U+017F (LONG S) to "s"; their
+    # counts add to those of the ASCII tokens, and never replace them
+    data = "k K \u212a s S \u017f".encode("utf-8")
+    config = TokenizerConfig(lowercase=lowercase, token_rule=token_rule)
+    with tempfile.TemporaryFile() as f:
+        f.write(data)
+        f.flush()
+        counts = corpus._count_range((f.fileno(), 0, len(data), config, corpus.CHUNK_SIZE))
+    assert counts == expected
 
 
 def test_byte_ranges_of_a_file_without_a_space_or_newline_is_one_range(tmp_path, monkeypatch):
@@ -332,6 +355,41 @@ def test_count_stream_in_workers_counts_from_the_position_and_leaves_f_at_its_en
         table = count_stream([f])
         assert f.tell() == len(data)
     assert table.counts == count_stream([io.BytesIO(data[7:])]).counts
+
+
+def test_a_large_file_is_one_range_counted_in_process_where_no_fork_may_start(tmp_path, monkeypatch):
+    data = _random_text(4, 4000)
+    path = tmp_path / "big.txt"
+    path.write_bytes(data)
+    expected = count_stream([io.BytesIO(data[7:])]).counts
+    _split_in_three(monkeypatch)
+    monkeypatch.setattr(corpus, "_can_fork", lambda: False)
+
+    def refuse(*args):
+        raise AssertionError("not the byte range path")
+
+    monkeypatch.setattr(corpus, "_count_into", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    with open(path, "rb") as f:
+        f.read(7)
+        assert corpus._parallel_ranges(f) == [(7, len(data))]
+        assert count_stream([f]).counts == expected
+        assert f.tell() == len(data)
+
+
+def test_a_large_file_counted_in_a_fork_map_share_starts_no_fork_map(tmp_path, monkeypatch):
+    path = tmp_path / "big.txt"
+    path.write_bytes(_random_text(5, 4000))
+    _split_in_three(monkeypatch)
+
+    def share(_):
+        for _ in range(2):
+            with open(path, "rb") as f:
+                assert len(corpus._parallel_ranges(f)) == 1
+                count_stream([f])
+        return corpus._can_fork()
+
+    assert list(corpus._fork_map(share, range(2), 2)) == [False, False]
 
 
 @pytest.mark.parametrize("codec", [gzip, bz2, lzma])
