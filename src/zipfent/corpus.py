@@ -10,14 +10,15 @@ A regular file of at least ``PARALLEL_MIN_BYTES`` is cut into byte ranges,
 counted on several CPUs with ``_fork_map`` (which the CLI also uses for
 ``--per-file`` groups) or as one range where no fork may start.  A range
 counts the raw byte tokens of its pieces, then decodes, splits and folds
-each distinct token once.  That pays on such a file, where few tokens are
-new: a range of the 39 MB bench text holds 7.8% distinct tokens, and a
-2,500-word file of the per-file bench 56.6%, which it counted slower.  Every other input is decoded
-piece by piece, case-folded whole (token by token in a piece where folding
-would change which characters are word characters) and split at
-whitespace, and the few distinct tokens that are not one word are re-split.
-Both give the counts that ``tokenize`` gives.  Tables are immutable once
-built and safe to share across threads; ``merge`` sums them and is
+each distinct token once (``_words_of_tokens``).  That pays on such a file,
+where few tokens are new: a range of the 39 MB bench text holds 7.8%
+distinct tokens, and a 2,500-word file of the per-file bench 56.6%, which
+it counted slower.  Every other input is decoded piece by piece,
+case-folded whole and split at whitespace.  Its few distinct tokens that
+are not ``str.isalnum``, and the byte tokens of a piece where folding would
+change which characters are word characters, go to ``_words_of_tokens``
+too.  Both give the counts that ``tokenize`` gives.  Tables are immutable
+once built and safe to share across threads; ``merge`` sums them and is
 insensitive to the order of its arguments.
 """
 
@@ -195,20 +196,25 @@ def count_stream(
     counts byte tokens and converts each distinct one once
     (``_count_range``), which pays where most tokens repeat one already
     counted; every other file is decoded and split piece by piece
-    (``_count_into``), which pays where most are new.  Either way each file
-    is left at its end.
+    (``_count_into``), which pays where most are new.  The pieces of those
+    files that hold a character of ``_FOLD_SPLITS`` are counted as byte
+    tokens instead, and at the end, under ``unicode_words``, their tokens
+    that are not ``str.isalnum`` join them; ``_words_of_tokens`` converts
+    that table once for all the files.  Either way each file is left at its
+    end.
     """
     if chunk_size is None:
         chunk_size = CHUNK_SIZE
     counts: Counter[str] = Counter()  # the words of the files cut into byte ranges
-    local: Counter[str] = Counter()  # the tokens of the files counted here
+    local: Counter[str] = Counter()  # the tokens of the other files
+    tokens: Counter[bytes] = Counter()  # their tokens that _words_of_tokens converts
     for f in files:
         ranges = _parallel_ranges(f)
         if not ranges:
-            _count_into(local, f.read, config, chunk_size)
+            _count_into(local, tokens, f.read, config, chunk_size)
             continue
         jobs = [(f.fileno(), start, end, config, chunk_size) for start, end in ranges]
-        parts = _fork_map(_packed_range, jobs, len(jobs)) if len(jobs) > 1 else map(_packed_range, jobs)
+        parts = _fork_map(_count_range, jobs, len(jobs)) if len(jobs) > 1 else map(_count_range, jobs)
         # each partial table is added as it arrives and then dropped
         for words, ns in parts:
             pairs = zip(words.split(" "), ns)
@@ -220,7 +226,11 @@ def count_stream(
                 dict.update(counts, pairs)
         # the ranges are read with pread; leave f at its end, as f.read would
         f.seek(0, os.SEEK_END)
-    _split_words(local, config)
+    if config.token_rule == "unicode_words":
+        # a token that is not str.isalnum may hold several words or none
+        moved = list(filterfalse(str.isalnum, local))
+        tokens.update({token.encode(): local.pop(token) for token in moved})
+    local.update(_words_of_tokens(tokens, config))
     if counts:
         counts.update(local)
     else:
@@ -232,29 +242,33 @@ def count_stream(
 
 
 def _count_into(
-    counts: Counter[str], read: Callable[[int], bytes], config: TokenizerConfig, chunk_size: int
+    counts: Counter[str], tokens: Counter[bytes], read: Callable[[int], bytes], config: TokenizerConfig,
+    chunk_size: int,
 ) -> None:
-    """Add to counts the tokens of one file, read with read(chunk_size) until it returns b"".
+    """Add to counts or tokens the tokens of one file, read with read(chunk_size) until it returns b"".
 
     Each piece of ``_pieces`` is decoded once, case-folded as a whole when
-    lowercasing (token by token with ``_fold_token`` if it holds a character
-    of ``_FOLD_SPLITS``), split at whitespace and counted.  ``_split_words``
-    re-splits the tokens that are not one word, and the length filter drops
-    the short ones; the caller applies both once per table.
+    lowercasing, split at whitespace and counted in counts.  A piece that
+    holds a character of ``_FOLD_SPLITS`` when lowercasing under
+    ``unicode_words``, whose fold would change its runs of word characters,
+    has its byte tokens counted in tokens instead.  The caller moves the
+    tokens in counts that are not ``str.isalnum`` into tokens, converts
+    tokens with ``_words_of_tokens`` and applies the length filter, once
+    per table.
     """
-    words, fold = config.token_rule == "unicode_words", config.lowercase
+    splits = config.token_rule == "unicode_words" and config.lowercase
     for piece in _pieces(read, config, chunk_size):
         text = str(piece, "utf-8", "replace")
+        if splits and re.search(_FOLD_SPLITS, text):
+            del text
+            tokens.update(piece.split())
+            continue
         # the piece is dropped after decoding, so that a long token is held
         # at most twice, as bytes and as text
         del piece
-        # folding keeps every character's whitespace-ness, so the whitespace
-        # rule needs no guard
-        unfolded = words and fold and re.search(_FOLD_SPLITS, text)
-        if fold and not unfolded:
+        if config.lowercase:
             text = text.casefold()
-        tokens = text.split()
-        counts.update(map(_fold_token, tokens) if unfolded else tokens)
+        counts.update(text.split())
 
 
 def _pieces(read: Callable[[int], bytes], config: TokenizerConfig, chunk_size: int) -> Iterator[bytes]:
@@ -284,35 +298,6 @@ def _pieces(read: Callable[[int], bytes], config: TokenizerConfig, chunk_size: i
         yield pending.pop(0)
         if not raw:
             return
-
-
-def _fold_token(token: str) -> str:
-    """token case-folded if it is one word both before and after folding, else token after a space.
-
-    ``_split_words`` splits a token with a leading space into words before it
-    folds them, as ``tokenize`` does.
-    """
-    folded = token.casefold()
-    return folded if folded.isalnum() and token.isalnum() else " " + token
-
-
-def _split_words(counts: Counter[str], config: TokenizerConfig) -> None:
-    """Replace each token in counts that is not one counted word by the words in it.
-
-    Under ``unicode_words`` a token with a character that is not
-    ``str.isalnum`` gives its runs of word characters (``\\w`` is
-    ``str.isalnum`` or "_"), and none when it has none; those of a token
-    with a leading space are case-folded.  Every such token is taken out
-    before any word is added, since a folded word need not be one word of
-    its own (U+0130 folds to "i" and the combining U+0307).
-    """
-    if config.token_rule != "unicode_words":
-        return
-    tokens = list(filterfalse(str.isalnum, counts))
-    for token, n in zip(tokens, list(map(counts.pop, tokens))):
-        parts = _WORD_RE.findall(token)
-        for word in map(str.casefold, parts) if token[0] == " " else parts:
-            counts[word] += n
 
 
 def _parallel_ranges(f: BinaryIO) -> list[tuple[int, int]]:
@@ -382,14 +367,15 @@ def _byte_ranges(fd: int, start: int, end: int, parts: int) -> list[tuple[int, i
     return list(zip(cuts, cuts[1:]))
 
 
-def _count_range(job: tuple[int, int, int, TokenizerConfig, int]) -> Counter[str]:
-    """The words in bytes [start, end) of the file fd, which a worker has by fork.
+def _count_range(job: tuple[int, int, int, TokenizerConfig, int]) -> tuple[str, list[int]]:
+    """Worker: the words in bytes [start, end) of the file fd, joined by spaces, and their counts.
 
     Counts the byte tokens of each of ``_pieces`` and then converts each
     distinct token once (``_words_of_tokens``), so that decoding, folding
     and splitting cost per distinct token, not per token.  A range ends
     before a space or newline byte, so its tokens decode as they do in the
-    whole file.
+    whole file.  No word holds a space: a forked child pickles the two and
+    the parent loads them several times faster than the table itself.
     """
     fd, start, end, config, chunk_size = job
     pos = start
@@ -402,25 +388,20 @@ def _count_range(job: tuple[int, int, int, TokenizerConfig, int]) -> Counter[str
 
     # no name holds the last piece, which may be one long token
     tokens = Counter(chain.from_iterable(map(bytes.split, _pieces(read, config, chunk_size))))
-    return _words_of_tokens(tokens, config)
-
-
-def _packed_range(job: tuple[int, int, int, TokenizerConfig, int]) -> tuple[str, list[int]]:
-    """Worker: ``_count_range`` as its words joined by spaces and their counts.
-
-    No word holds a space.  A forked child pickles the two and this process
-    loads them several times faster than the table itself.
-    """
-    counts = _count_range(job)
+    counts = _words_of_tokens(tokens, config)
     return " ".join(counts), list(counts.values())
 
 
 def _words_of_tokens(tokens: Counter[bytes], config: TokenizerConfig) -> Counter[str]:
-    """The words of the counted byte tokens of ``_pieces``, as ``tokenize`` splits and folds them; empties tokens.
+    """The words of the counted byte tokens, as ``tokenize`` splits and folds them; empties tokens.
 
-    An ASCII token is one word under both rules and already folded: the
-    ASCII tokens are decoded together and inserted first, as distinct ones
-    give distinct words.  The other tokens are decoded and case-folded
+    The tokens are those of ``_pieces``, and the UTF-8 of the string path's
+    tokens that are not ``str.isalnum``, which are case-folded already when
+    lowercasing: a fold is its own fold, so folding them again keeps them
+    as they are.  Only a ``str.isalnum`` token of the string path becomes a
+    word anywhere else.  An ASCII token is one word under both rules and
+    already folded: the ASCII tokens are decoded together and inserted
+    first, as distinct ones give distinct words.  The other tokens are decoded and case-folded
     together, and each is split as ``tokenize`` splits it (one word if it is
     ``str.isalnum``), with its count added: several tokens can give one
     word, ASCII ones too (U+212A folds to "k").  Both are done

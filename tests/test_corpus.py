@@ -234,10 +234,10 @@ def test_count_stream_counts_a_long_token_in_linear_time(data, token_rule):
 def test_fold_splits_holds_every_character_whose_case_fold_changes_its_word_runs():
     # chunks are case-folded whole and then split; that counts the words a
     # fold of each word would give only where folding keeps every
-    # character's word-ness and whitespace-ness; a fold is its own fold,
-    # which no count path needs now that each token is folded once; and the
-    # byte tokens of a range are folded joined by spaces, which needs that no
-    # character folds to a space
+    # character's word-ness and whitespace-ness; a fold is its own fold, so
+    # a folded token that is not one word can be folded again when it is
+    # converted with the byte tokens; and byte tokens are folded joined by
+    # spaces, which needs that no character folds to a space
     def is_word(c):
         return c.isalnum() or c == "_"
 
@@ -275,7 +275,7 @@ def test_byte_ranges_count_to_the_count_of_the_whole_file(prefix, data, config, 
         ranges = corpus._byte_ranges(fd, start, end, parts)
         total: Counter[str] = Counter()
         for lo, hi in ranges:
-            words, ns = corpus._packed_range((fd, lo, hi, config, chunk_size))
+            words, ns = corpus._count_range((fd, lo, hi, config, chunk_size))
             total.update(dict(zip(words.split(" "), ns, strict=True)) if ns else {})
     assert 1 <= len(ranges) <= parts
     assert ranges[0][0] == start and ranges[-1][1] == end
@@ -299,8 +299,8 @@ def test_count_range_adds_a_token_that_folds_onto_an_ascii_word_to_its_count(tok
     with tempfile.TemporaryFile() as f:
         f.write(data)
         f.flush()
-        counts = corpus._count_range((f.fileno(), 0, len(data), config, corpus.CHUNK_SIZE))
-    assert counts == expected
+        words, ns = corpus._count_range((f.fileno(), 0, len(data), config, corpus.CHUNK_SIZE))
+    assert dict(zip(words.split(" "), ns, strict=True)) == expected
 
 
 def test_byte_ranges_of_a_file_without_a_space_or_newline_is_one_range(tmp_path, monkeypatch):
@@ -355,6 +355,28 @@ def test_count_stream_in_workers_counts_from_the_position_and_leaves_f_at_its_en
         table = count_stream([f])
         assert f.tell() == len(data)
     assert table.counts == count_stream([io.BytesIO(data[7:])]).counts
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("lowercase", [True, False])
+@pytest.mark.parametrize("token_rule", TOKEN_RULES)
+def test_pooled_ranges_and_stream_pieces_count_to_the_tokens_of_their_join(tmp_path, monkeypatch, cpus,
+                                                                          lowercase, token_rule):
+    # the words of a file's byte ranges, the string path's words and the
+    # byte tokens of its fold-split pieces and non-word tokens meet in one
+    # table; 64-byte chunks make some pieces hold İ and others only twins
+    big = _random_text(6, 4000)
+    path = tmp_path / "big.txt"
+    path.write_bytes(big)
+    plain = "Istanbul K k a b x 1 a—b x_1 \u212a\n" * 4
+    stream = (plain + "\u0130stanbul \u212a a—b x_1\n").encode("utf-8") * 20
+    config = TokenizerConfig(lowercase=lowercase, token_rule=token_rule)
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 10)
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: cpus)
+    with open(path, "rb") as f:
+        assert len(corpus._parallel_ranges(f)) == cpus
+        table = count_stream([f, io.BytesIO(stream)], config, 64)
+    assert table.counts == _one_shot(big + b"\n" + stream, config)
 
 
 def test_a_large_file_is_one_range_counted_in_process_where_no_fork_may_start(tmp_path, monkeypatch):
