@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
-import stat
 import sys
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
 
@@ -121,16 +119,10 @@ def _cmd_analyze(args) -> int:
         _report_group, config=config, fit_kmin=args.fit_kmin, fit_kmax=args.fit_kmax, fmt=args.format,
         bits=args.bits,
     )
-    results = map(report_group, groups)
-    # the groups run on every CPU, unless a large file is to be cut into
-    # byte ranges on every CPU instead
-    if len(groups) >= 2 and corpus._can_fork() and not any(map(_is_large_file, args.paths)):
-        workers = min(corpus._cpu_count(), len(groups), corpus.MAX_WORKERS)
-        results = corpus._fork_map(report_group, groups, workers)
     reports, empty = [], []
-    # the messages wait until every input is read, so an I/O error on a
-    # later input takes precedence
-    for label, output, fit_error in results:
+    # corpus._map spreads the groups over the CPUs; the messages wait until
+    # every input is read, so an I/O error on a later input takes precedence
+    for label, output, fit_error in corpus._map(report_group, groups):
         if output is None:
             empty.append(label)
         else:
@@ -180,17 +172,6 @@ def _report_group(
     else:
         output = report_text(report, bits)
     return labels[0], output, report["fit"].get("error")
-
-
-def _is_large_file(path: str) -> bool:
-    """Whether path is a regular file that count_stream may cut into byte ranges."""
-    from . import corpus
-
-    try:
-        info = os.stat(path)
-    except OSError:  # reported when it is opened
-        return False
-    return stat.S_ISREG(info.st_mode) and info.st_size >= corpus.PARALLEL_MIN_BYTES
 
 
 def _cmd_gen(args) -> int:

@@ -4,11 +4,11 @@ All words from all inputs are pooled into a single corpus; there is no
 per-document bookkeeping.  ``count_stream`` is the ingestion path for files:
 it counts them in pieces cut after ASCII separator bytes, so memory grows
 with the vocabulary and the longest run without one, not with the input.
-It does not call ``tokenize``, and takes one of two paths by input size.
+It does not call ``tokenize``, and takes one of two paths per input.
 
 A regular file of at least ``PARALLEL_MIN_BYTES`` is cut into byte ranges,
-counted on several CPUs with ``_fork_map`` (which the CLI also uses for
-``--per-file`` groups) or as one range where no fork may start.  A range
+counted on several CPUs with ``_map`` (which the CLI also uses for
+``--per-file`` groups) or as one range where ``_workers`` gives 1.  A range
 counts the raw byte tokens of its pieces, then decodes, splits and folds
 each distinct token once (``_words_of_tokens``).  That pays on such a file,
 where few tokens are new: a range of the 39 MB bench text holds 7.8%
@@ -65,8 +65,8 @@ CHUNK_SIZE = 1 << 17
 
 # count_stream counts a regular file with at least this many bytes left in
 # byte ranges on several processes, one per PARALLEL_MIN_BYTES // 2 bytes and
-# CPU, and at most MAX_WORKERS, which bounds the processes and the
-# vocabulary-sized tables that exist at once.
+# CPU.  _map runs at most MAX_WORKERS processes, which bounds the processes
+# and the vocabulary-sized tables that exist at once.
 PARALLEL_MIN_BYTES = 8 << 20
 MAX_WORKERS = 8
 
@@ -189,10 +189,10 @@ def count_stream(
 
     A regular file opened with ``open`` (not a decompressing reader) with at
     least ``PARALLEL_MIN_BYTES`` left to read is cut into byte ranges at space
-    or newline bytes, one per CPU and at most ``MAX_WORKERS``, or taken as
-    one range where ``_can_fork`` is false.  This process counts the first
-    range itself and forked children count the others; the table is the
-    same, and each process holds a partial vocabulary of its own.  A range
+    or newline bytes, one per process of ``_map`` (``_parallel_ranges``), or
+    taken as one range where that is one process.  This process counts the
+    first range itself and forked children count the others; the table is
+    the same, and each process holds a partial vocabulary of its own.  A range
     counts byte tokens and converts each distinct one once
     (``_count_range``), which pays where most tokens repeat one already
     counted; every other file is decoded and split piece by piece
@@ -214,9 +214,8 @@ def count_stream(
             _count_into(local, tokens, f.read, config, chunk_size)
             continue
         jobs = [(f.fileno(), start, end, config, chunk_size) for start, end in ranges]
-        parts = _fork_map(_count_range, jobs, len(jobs)) if len(jobs) > 1 else map(_count_range, jobs)
         # each partial table is added as it arrives and then dropped
-        for words, ns in parts:
+        for words, ns in _map(_count_range, jobs):
             pairs = zip(words.split(" "), ns)
             if counts:
                 get = counts.get
@@ -301,13 +300,14 @@ def _pieces(read: Callable[[int], bytes], config: TokenizerConfig, chunk_size: i
 
 
 def _parallel_ranges(f: BinaryIO) -> list[tuple[int, int]]:
-    """The byte ranges in which count_stream counts f, one each in a ``_fork_map`` share.
+    """The byte ranges in which count_stream counts f, one per process of ``_map``.
 
     No range means f is read as a stream: it is not a plain OS file whose bytes
     are the ones it reads (a pipe, a terminal, an in-memory buffer, a gzip,
     bz2 or lzma reader over a file), or has fewer than ``PARALLEL_MIN_BYTES``
-    left.  One range means f is counted in this process alone: ``_can_fork``
-    is false or no cut was found.
+    left.  Otherwise it is cut into ``_workers`` ranges, one per
+    ``PARALLEL_MIN_BYTES // 2`` bytes left, or fewer where a cut is not
+    found; one range is counted in this process alone.
     """
     if not isinstance(f, (io.BufferedReader, io.BufferedRandom, io.FileIO)):
         return []
@@ -318,21 +318,30 @@ def _parallel_ranges(f: BinaryIO) -> list[tuple[int, int]]:
     info = os.fstat(fd)
     if not stat.S_ISREG(info.st_mode) or info.st_size - start < PARALLEL_MIN_BYTES:
         return []
-    parts = min(_cpu_count(), (info.st_size - start) // (PARALLEL_MIN_BYTES // 2), MAX_WORKERS)
-    if not _can_fork():
-        parts = 1
+    parts = _workers((info.st_size - start) // (PARALLEL_MIN_BYTES // 2))
     return _byte_ranges(fd, start, info.st_size, parts)
+
+
+def _map(fn: Callable[[Any], Any], jobs: list[Any]) -> Iterator[Any]:
+    """Yield fn(job) for each job, in job order: a ``_fork_map`` of ``_workers`` processes, or ``map``."""
+    workers = _workers(len(jobs))
+    return _fork_map(fn, jobs, workers) if workers > 1 else map(fn, jobs)
+
+
+def _workers(jobs: int) -> int:
+    """Processes for jobs: one per CPU and job up to ``MAX_WORKERS``, or 1 where ``_can_fork`` is false."""
+    return min(_cpu_count(), jobs, MAX_WORKERS) if _can_fork() else 1
 
 
 def _can_fork() -> bool:
     """Whether a ``_fork_map`` may start here.
 
-    Not where the platform has no ``fork``, only one CPU is allowed, other
-    threads run (a forked child would not have them), this is a daemonic
-    ``multiprocessing`` worker, which may not start processes, or a fork map
-    already runs in this process.
+    Not where the platform has no ``fork``, other threads run (a forked
+    child would not have them), this is a daemonic ``multiprocessing``
+    worker, which may not start processes, or a fork map already runs in
+    this process.
     """
-    if _in_fork_map or not hasattr(os, "fork") or _cpu_count() < 2 or threading.active_count() > 1:
+    if _in_fork_map or not hasattr(os, "fork") or threading.active_count() > 1:
         return False
     mp = sys.modules.get("multiprocessing")  # not imported just to ask
     return mp is None or not mp.current_process().daemon
@@ -451,7 +460,7 @@ def _fork_map(fn: Callable[[Any], Any], jobs: list[Any], workers: int) -> Iterat
     reading the children's results.  fn and the jobs reach the children by
     fork, so only results and exceptions are pickled.  The first failure in
     job order is raised here, and every child is reaped before this returns
-    or raises.  Call it only where ``_can_fork`` holds.
+    or raises.  ``_map`` calls it, where ``_can_fork`` holds.
     """
     # imported here, so that importing the CLI does not pay for it
     import pickle

@@ -221,17 +221,11 @@ def test_analyze_in_worker_processes_writes_the_same_bytes(tmp_path, monkeypatch
 
     monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 12)
     monkeypatch.setattr(corpus, "_cpu_count", lambda: 3)
-    split, real_ranges = [], corpus._parallel_ranges
-
-    def ranges(f):
-        found = real_ranges(f)
-        split.append(len(found))
-        return found
-
-    monkeypatch.setattr(corpus, "_parallel_ranges", ranges)
+    fork_maps = _spy_fork_maps(monkeypatch)
     assert [run_cli(capsys, *argv) for argv in argvs] == in_process
-    # the large file went to three workers every time, the small one never
-    assert sorted(split) == [0, 0, 3, 3, 3, 3, 3]
+    # a pooled run cut the large file into three byte ranges; the --per-file
+    # run took its two files in two processes, the large one as one range
+    assert fork_maps == [3, 3, 3, 2, 3]
 
 
 def _per_file_inputs(tmp_path, seed: int) -> list[str]:
@@ -279,6 +273,52 @@ def test_per_file_on_every_cpu_writes_what_one_cpu_writes(tmp_path, monkeypatch,
     assert fork_maps == [min(3, len(paths))] * 4
     expected_code = {0: 2, 1: 2, 2: 0}[seed % 3]
     assert [code for code, _, _ in serial] == [expected_code, expected_code, 1, expected_code, expected_code]
+
+
+@pytest.mark.parametrize("names", [("big0", "small0"), ("small0", "big0", "small1", "big1")])
+def test_per_file_with_a_large_file_on_every_cpu_writes_what_one_cpu_writes(tmp_path, monkeypatch, capsys,
+                                                                            names):
+    # a large file is one group like any other, counted as one byte range in
+    # the process that takes it
+    rng = random.Random(11)
+    words = ["café", "Straße", "STRASSE", "naïve", "\U0001d518x", "to", "a", "x_1", "a—b"]
+    paths = []
+    for name in names:
+        size = 3000 if name.startswith("big") else 50
+        path = tmp_path / f"{name}.txt"
+        text = " ".join(rng.choice(words) + rng.choice(["", "\n"]) for _ in range(size))
+        path.write_text(text, encoding="utf-8")
+        paths.append(str(path))
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 12)
+    assert all(os.path.getsize(p) >= 3 << 12 for p in paths if "big" in p)
+    argvs = [["analyze", "--per-file", *paths],
+             ["analyze", "--per-file", "--format", "text", "--token-rule", "whitespace", "--no-lowercase",
+              *paths]]
+    fork_maps = _spy_fork_maps(monkeypatch)
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 1)
+    serial = [run_cli(capsys, *argv) for argv in argvs]
+    assert fork_maps == []
+    assert [code for code, _, _ in serial] == [0, 0]
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 3)
+    assert [run_cli(capsys, *argv) for argv in argvs] == serial
+    assert fork_maps == [min(3, len(paths))] * 2
+
+
+@pytest.mark.parametrize("cpus, jobs, can_fork, workers", [
+    (3, 1, True, None), (3, 5, False, None), (1, 5, True, None),
+    (3, 2, True, 2), (3, 5, True, 3), (2, 5, True, 2), (16, 5, True, 5), (16, 20, True, corpus.MAX_WORKERS),
+])
+def test_map_forks_one_process_per_cpu_and_job_up_to_max_workers(monkeypatch, cpus, jobs, can_fork, workers):
+    fork_maps = _spy_fork_maps(monkeypatch)
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: cpus)
+    if not can_fork:
+        monkeypatch.setattr(corpus, "_can_fork", lambda: False)
+    parent = os.getpid()
+    results = list(corpus._map(lambda j: (j * j, os.getpid() == parent), list(range(jobs))))
+    assert [r for r, _ in results] == [j * j for j in range(jobs)]
+    # None: no fork map, every job computed in this process
+    assert fork_maps == ([] if workers is None else [workers])
+    assert all(in_parent for _, in_parent in results) == (workers is None)
 
 
 @pytest.mark.parametrize("missing", [0, 1, 10, 19])  # the parent's share and children's

@@ -459,8 +459,7 @@ def test_fork_map_yields_in_job_order_with_the_parent_taking_share_zero(workers)
     _assert_no_child_left()
 
 
-def test_fork_map_forbids_a_fork_map_inside_one(monkeypatch):
-    monkeypatch.setattr(corpus, "_cpu_count", lambda: 3)
+def test_fork_map_forbids_a_fork_map_inside_one():
     assert corpus._can_fork()
     assert list(corpus._fork_map(lambda j: corpus._can_fork(), range(6), 3)) == [False] * 6
     assert corpus._can_fork()
