@@ -13,13 +13,16 @@ counts the raw byte tokens of its pieces, then decodes, splits and folds
 each distinct token once (``_words_of_tokens``).  That pays on such a file,
 where few tokens are new: a range of the 39 MB bench text holds 7.8%
 distinct tokens, and a 2,500-word file of the per-file bench 56.6%, which
-it counted slower.  Every other input is decoded piece by piece,
-case-folded whole and split at whitespace.  Its few distinct tokens that
-are not ``str.isalnum``, and the byte tokens of a piece where folding would
-change which characters are word characters, go to ``_words_of_tokens``
-too.  Both give the counts that ``tokenize`` gives.  Tables are immutable
-once built and safe to share across threads; ``merge`` sums them and is
-insensitive to the order of its arguments.
+it counted slower.  The table of the range this process counts becomes the
+pooled table as it is, and a forked child's comes back in batches of words
+joined by spaces (``_RangeTable``), added one batch at a time.  Every other
+input is decoded piece by piece, case-folded whole and split at whitespace.
+Its few distinct tokens that are not ``str.isalnum``, and the byte tokens
+of a piece where folding would change which characters are word
+characters, go to ``_words_of_tokens`` too.  Both give the counts that
+``tokenize`` gives.  Tables are immutable once built and safe to share
+across threads; ``merge`` sums them and is insensitive to the order of its
+arguments.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, filterfalse, islice
+from itertools import chain, filterfalse, islice, repeat
+from operator import add
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
@@ -78,7 +82,8 @@ _in_fork_map = False
 _CUT_RE = re.compile(rb"[ \n]")
 _CUT_SEARCH_BYTES = 1 << 16
 
-# Byte tokens converted to words at a time by _words_of_tokens.
+# Byte tokens converted to words at a time by _words_of_tokens, and words
+# in each batch of a _RangeTable that a forked child sends.
 _CONVERT_BATCH = 1 << 14
 
 
@@ -163,10 +168,17 @@ def count_frequencies(tokens: Iterable[str]) -> FrequencyTable:
 
 def merge(tables: Iterable[FrequencyTable]) -> FrequencyTable:
     """Pointwise sum of several tables; associative and commutative."""
-    merged: Counter[str] = Counter()
+    merged: dict[str, int] = {}
     for table in tables:
-        merged.update(table.counts)
+        _add(merged, table.counts, table.counts.values())
     return FrequencyTable.from_counts(merged)
+
+
+def _add(counts: dict[Any, int], keys: Iterable[Any], ns: Iterable[int]) -> None:
+    """Add each of ns to the count of the key at its place in keys, which are distinct and iterated twice."""
+    # distinct keys: each count is read before its key is written, so one
+    # dict.update of (key, sum) pairs adds them without a Python loop
+    dict.update(counts, zip(keys, map(add, map(counts.get, keys, repeat(0)), ns)))
 
 
 def read_text(path: str | Path) -> str:
@@ -192,16 +204,18 @@ def count_stream(
     or newline bytes, one per process of ``_map`` (``_parallel_ranges``), or
     taken as one range where that is one process.  This process counts the
     first range itself and forked children count the others; the table is
-    the same, and each process holds a partial vocabulary of its own.  A range
-    counts byte tokens and converts each distinct one once
-    (``_count_range``), which pays where most tokens repeat one already
-    counted; every other file is decoded and split piece by piece
-    (``_count_into``), which pays where most are new.  The pieces of those
-    files that hold a character of ``_FOLD_SPLITS`` are counted as byte
-    tokens instead, and at the end, under ``unicode_words``, their tokens
-    that are not ``str.isalnum`` join them; ``_words_of_tokens`` converts
-    that table once for all the files.  Either way each file is left at its
-    end.
+    the same, and each process holds a partial vocabulary of its own.  The
+    first range's table is kept as the pooled table, and each child's is
+    added a batch of words at a time as it arrives (``_RangeTable``), so
+    that no table is built twice.  A range counts byte tokens and converts
+    each distinct one once (``_count_range``), which pays where most tokens
+    repeat one already counted; every other file is decoded and split piece
+    by piece (``_count_into``), which pays where most are new.  The pieces
+    of those files that hold a character of ``_FOLD_SPLITS`` are counted as
+    byte tokens instead, and at the end, under ``unicode_words``, their
+    tokens that are not ``str.isalnum`` join them; ``_words_of_tokens``
+    converts that table once for all the files.  Either way each file is
+    left at its end.
     """
     if chunk_size is None:
         chunk_size = CHUNK_SIZE
@@ -215,23 +229,25 @@ def count_stream(
             continue
         jobs = [(f.fileno(), start, end, config, chunk_size) for start, end in ranges]
         # each partial table is added as it arrives and then dropped
-        for words, ns in _map(_count_range, jobs):
-            pairs = zip(words.split(" "), ns)
-            if counts:
-                get = counts.get
-                for word, n in pairs:
-                    counts[word] = get(word, 0) + n
-            else:
-                dict.update(counts, pairs)
+        for table in _map(_count_range, jobs):
+            if not isinstance(table, _RangeTable):  # a child's, in batches
+                while table:
+                    words, ns = table.pop(0)
+                    _add(counts, words.split(" "), ns)
+            elif counts:
+                _add(counts, table.counts, table.counts.values())
+            else:  # this process's: kept as it is
+                counts = table.counts
         # the ranges are read with pread; leave f at its end, as f.read would
         f.seek(0, os.SEEK_END)
     if config.token_rule == "unicode_words":
         # a token that is not str.isalnum may hold several words or none
         moved = list(filterfalse(str.isalnum, local))
-        tokens.update({token.encode(): local.pop(token) for token in moved})
-    local.update(_words_of_tokens(tokens, config))
+        _add(tokens, [token.encode() for token in moved], map(local.pop, moved))
+    converted = _words_of_tokens(tokens, config)
+    _add(local, converted, converted.values())
     if counts:
-        counts.update(local)
+        _add(counts, local, local.values())
     else:
         counts = local
     if config.min_token_length > 1:
@@ -376,15 +392,14 @@ def _byte_ranges(fd: int, start: int, end: int, parts: int) -> list[tuple[int, i
     return list(zip(cuts, cuts[1:]))
 
 
-def _count_range(job: tuple[int, int, int, TokenizerConfig, int]) -> tuple[str, list[int]]:
-    """Worker: the words in bytes [start, end) of the file fd, joined by spaces, and their counts.
+def _count_range(job: tuple[int, int, int, TokenizerConfig, int]) -> _RangeTable:
+    """Worker: the table of the words in bytes [start, end) of the file fd.
 
     Counts the byte tokens of each of ``_pieces`` and then converts each
     distinct token once (``_words_of_tokens``), so that decoding, folding
     and splitting cost per distinct token, not per token.  A range ends
     before a space or newline byte, so its tokens decode as they do in the
-    whole file.  No word holds a space: a forked child pickles the two and
-    the parent loads them several times faster than the table itself.
+    whole file.
     """
     fd, start, end, config, chunk_size = job
     pos = start
@@ -397,8 +412,31 @@ def _count_range(job: tuple[int, int, int, TokenizerConfig, int]) -> tuple[str, 
 
     # no name holds the last piece, which may be one long token
     tokens = Counter(chain.from_iterable(map(bytes.split, _pieces(read, config, chunk_size))))
-    counts = _words_of_tokens(tokens, config)
-    return " ".join(counts), list(counts.values())
+    return _RangeTable(_words_of_tokens(tokens, config))
+
+
+class _RangeTable:
+    """The table of one byte range, ``counts``, as ``_count_range`` returns it.
+
+    The process that counted the range keeps the table as it is.  Pickled,
+    in a forked child of ``_fork_map``, it is a list of batches of
+    ``_CONVERT_BATCH`` words joined by spaces, each with the list of their
+    counts, which loads several times faster than the table itself and
+    which the parent splits and adds one batch at a time.  No word holds a
+    space.
+    """
+
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: Counter[str]):
+        self.counts = counts
+
+    def __reduce__(self) -> tuple[type, tuple[list[tuple[str, list[int]]]]]:
+        words, ns = iter(self.counts), iter(self.counts.values())
+        batches = []
+        while batch := list(islice(ns, _CONVERT_BATCH)):
+            batches.append((" ".join(islice(words, len(batch))), batch))
+        return list, (batches,)
 
 
 def _words_of_tokens(tokens: Counter[bytes], config: TokenizerConfig) -> Counter[str]:

@@ -6,6 +6,7 @@ import io
 import lzma
 import os
 import multiprocessing
+import pickle
 import random
 import re
 import sys
@@ -275,8 +276,9 @@ def test_byte_ranges_count_to_the_count_of_the_whole_file(prefix, data, config, 
         ranges = corpus._byte_ranges(fd, start, end, parts)
         total: Counter[str] = Counter()
         for lo, hi in ranges:
-            words, ns = corpus._count_range((fd, lo, hi, config, chunk_size))
-            total.update(dict(zip(words.split(" "), ns, strict=True)) if ns else {})
+            # a forked child pickles the table as batches of words joined by spaces
+            for words, ns in pickle.loads(pickle.dumps(corpus._count_range((fd, lo, hi, config, chunk_size)))):
+                total.update(dict(zip(words.split(" "), ns, strict=True)))
     assert 1 <= len(ranges) <= parts
     assert ranges[0][0] == start and ranges[-1][1] == end
     for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
@@ -299,8 +301,8 @@ def test_count_range_adds_a_token_that_folds_onto_an_ascii_word_to_its_count(tok
     with tempfile.TemporaryFile() as f:
         f.write(data)
         f.flush()
-        words, ns = corpus._count_range((f.fileno(), 0, len(data), config, corpus.CHUNK_SIZE))
-    assert dict(zip(words.split(" "), ns, strict=True)) == expected
+        table = corpus._count_range((f.fileno(), 0, len(data), config, corpus.CHUNK_SIZE))
+    assert table.counts == expected
 
 
 def test_byte_ranges_of_a_file_without_a_space_or_newline_is_one_range(tmp_path, monkeypatch):
@@ -377,6 +379,47 @@ def test_pooled_ranges_and_stream_pieces_count_to_the_tokens_of_their_join(tmp_p
         assert len(corpus._parallel_ranges(f)) == cpus
         table = count_stream([f, io.BytesIO(stream)], config, 64)
     assert table.counts == _one_shot(big + b"\n" + stream, config)
+
+
+@pytest.mark.parametrize("lowercase", [True, False])
+@pytest.mark.parametrize("token_rule", TOKEN_RULES)
+def test_a_childs_table_crosses_the_pipe_in_batches(tmp_path, monkeypatch, lowercase, token_rule):
+    # batches of 3 words; the middle range holds only punctuation and
+    # spaces, so under unicode_words its child sends an empty table
+    rng = random.Random(7)
+    marks = " ".join(rng.choice([".", ",", "--", "!?", "\u00ab\u00bb", "\u2014", "(", ")"]) for _ in range(600))
+    data = _random_text(8, 150) + b"\n" + marks.encode("utf-8") + b"\n" + _random_text(9, 150)
+    path = tmp_path / "big.txt"
+    path.write_bytes(data)
+    _split_in_three(monkeypatch)
+    monkeypatch.setattr(corpus, "_CONVERT_BATCH", 3)
+    config = TokenizerConfig(lowercase=lowercase, token_rule=token_rule)
+    with open(path, "rb") as f:
+        ranges = corpus._parallel_ranges(f)
+        (_, lo), (_, hi), (_, end) = ranges
+        assert not re.search(r"\w", data[lo:hi].decode("utf-8"))
+        assert len(pickle.loads(pickle.dumps(corpus._count_range((f.fileno(), hi, end, config, 64))))) > 1
+        table = count_stream([f], config, 64)
+    assert table.counts == _one_shot(data, config)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_the_ranges_of_two_large_files_pool_into_a_counter_that_pickles_as_itself(tmp_path, monkeypatch, cpus):
+    # the first file's own range is kept as the table, and the second's is
+    # added to it; no packing of a child's table leaks into the result
+    texts = [_random_text(11, 3000), _random_text(12, 3000)]
+    paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    for path, text in zip(paths, texts):
+        path.write_bytes(text)
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 10)
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: cpus)
+    with open(paths[0], "rb") as f, open(paths[1], "rb") as g:
+        assert len(corpus._parallel_ranges(f)) == len(corpus._parallel_ranges(g)) == cpus
+        table = count_stream([f, g])
+    assert table.counts == _one_shot(b"\n".join(texts), TokenizerConfig())
+    assert type(table.counts) is Counter
+    copy = pickle.loads(pickle.dumps(table))
+    assert type(copy.counts) is Counter and copy == table
 
 
 def test_a_large_file_is_one_range_counted_in_process_where_no_fork_may_start(tmp_path, monkeypatch):
