@@ -176,14 +176,10 @@ def _report_group(
 
 def _cmd_gen(args) -> int:
     from . import synth
-    from .spectrum import spectrum_csv
 
     spec = synth.SyntheticSpec(a=args.a, b=args.b, mode=_MODE_NAMES[args.mode], k_cap=args.k_cap)
-    if spec.mode == "rounded_integer":
-        chunks = synth.generate_corpus(spec)
-    else:
-        chunks = spectrum_csv(synth.generate_spectrum(spec))
-    _emit(chunks, args.out)
+    make = synth.generate_corpus if spec.mode == "rounded_integer" else synth.generate_csv
+    _emit(make(spec), args.out)
     return EXIT_OK
 
 

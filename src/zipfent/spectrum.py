@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING
@@ -14,7 +14,7 @@ from .errors import EmptyCorpusError
 if TYPE_CHECKING:
     from .corpus import FrequencyTable
 
-# spectrum_csv writes at most this many rows per block, so a large spectrum
+# _csv_blocks writes at most this many rows per block, so a large spectrum
 # never builds one huge string.
 _CSV_BLOCK_ROWS = 1 << 16
 
@@ -26,11 +26,10 @@ class FreqSpectrum:
     Frequencies with F(k) = 0 are never stored, which keeps log F(k)
     well-defined at every stored point.  Corpus-derived spectra hold positive
     integers; synthetic law-valued spectra may hold positive reals.  Points
-    are kept sorted by k.  ``points`` is a read-only ``Mapping``: a dict for
-    corpus spectra, a compact view over the law's values for synthetic ones.
+    are kept sorted by k.
     """
 
-    points: Mapping[int, float]
+    points: dict[int, float]
     total_tokens: float  # sum of k * F(k) over the stored points
     max_k: int
 
@@ -71,7 +70,13 @@ def freq_of_freq(table: FrequencyTable) -> FreqSpectrum:
 
 def spectrum_csv(spec: FreqSpectrum) -> Iterator[str]:
     """Spectrum as CSV rows "k,F(k)" in ascending k: the header, then blocks of rows."""
+    return _csv_blocks(spec.points.items())
+
+
+def _csv_blocks(points: Iterable[tuple[int, float]]) -> Iterator[str]:
+    """The header "k,F(k)", then the (k, F(k)) pairs as rows in blocks of _CSV_BLOCK_ROWS."""
     yield "k,F(k)\n"
-    rows = iter(spec.points.items())
-    while block := [f"{k},{f}\n" for k, f in islice(rows, _CSV_BLOCK_ROWS)]:
-        yield "".join(block)
+    rows = iter(points)
+    # each block is joined before the next is built, so no two row lists are held at once
+    while block := "".join([f"{k},{f}\n" for k, f in islice(rows, _CSV_BLOCK_ROWS)]):
+        yield block

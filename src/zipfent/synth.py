@@ -10,21 +10,21 @@ same parameters always produce the same spectrum and the same corpus.
 from __future__ import annotations
 
 import math
-from array import array
-from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
+from collections.abc import Iterable, Iterator
 from dataclasses import astuple, dataclass
 
 from .bound import chain_diagnostics, entropy_upper_bound
 # bench/tracer.py wraps these names on this module.  Nothing here calls them
 # (sweep works from power sums), so their spans stay empty.
 from .bound import chain_check, entropy_from_spectrum  # noqa: F401
-from .spectrum import FreqSpectrum, _exact_sum
+from .spectrum import FreqSpectrum, _csv_blocks, _exact_sum
 
 MODES = ("exact_real", "rounded_integer")
 
 # Most points of a law (k_max after k_cap), checked before anything is
-# allocated: generate_spectrum builds no more (80 MB of doubles), and sweep
-# admits no larger cell.  Admits a=1, b=16 (8.9M points).
+# allocated: gen writes no more rows, generate_spectrum builds no larger dict
+# (about 880 MB at this size), and sweep admits no larger cell.  Admits a=1,
+# b=16 (8.9M points).
 MAX_LAW_POINTS = 10_000_000
 
 # Most tokens a corpus may hold, checked before any text is made: about
@@ -112,40 +112,13 @@ def _law_points(spec: SyntheticSpec) -> int:
     return n
 
 
-class _LawPoints(Mapping):
-    """Read-only k -> F(k) over one flat sequence F(1), ..., F(n): k = index + 1."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: Sequence[float]):
-        self._values = values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(1, len(self._values) + 1))
-
-    def __getitem__(self, k: int) -> float:
-        if isinstance(k, int) and 1 <= k <= len(self._values):
-            return self._values[k - 1]
-        raise KeyError(k)
-
-    def items(self) -> ItemsView:
-        return _LawItems(self)
-
-    def values(self) -> ValuesView:
-        return _LawValues(self)
-
-
-class _LawItems(ItemsView):
-    def __iter__(self):
-        return zip(range(1, len(self._mapping) + 1), self._mapping._values)
-
-
-class _LawValues(ValuesView):
-    def __iter__(self):
-        return iter(self._mapping._values)
+def _law(spec: SyntheticSpec, n: int) -> Iterator[tuple[int, float]]:
+    """(k, F(k)) for k = 1 .. n: F(k) = e^b k^-a, rounded half-up in rounded_integer mode."""
+    eb, a = math.exp(spec.b), spec.a
+    law = ((k, eb * k ** (-a)) for k in range(1, n + 1))
+    if spec.mode == "exact_real":
+        return law
+    return ((k, _round_half_up(f)) for k, f in law)
 
 
 def generate_spectrum(spec: SyntheticSpec) -> FreqSpectrum:
@@ -153,19 +126,21 @@ def generate_spectrum(spec: SyntheticSpec) -> FreqSpectrum:
 
     Beyond that domain the law drops below one word and the spectrum ends.
     In rounded_integer mode every value on the domain is >= 1 before
-    rounding, so rounding never produces an empty bin.  The values are held
-    flat, 8 bytes per point, and a spectrum of more than MAX_LAW_POINTS
-    points is refused before anything is allocated.
+    rounding, so rounding never produces an empty bin.  The points are a
+    dict, up to 100 bytes per point (gen and sweep never build it), and a
+    spectrum of more than MAX_LAW_POINTS points is refused before anything
+    is allocated.
     """
     n = _law_points(spec)
-    eb = math.exp(spec.b)
-    law = (eb * k ** (-spec.a) for k in range(1, n + 1))
-    rounded = spec.mode == "rounded_integer"
-    # rounded values can pass 2^63, which array("q") cannot hold
-    values = [_round_half_up(f) for f in law] if rounded else array("d", law)
     # valid and sorted by construction, so FreqSpectrum.from_points is skipped
-    total = _exact_sum((k * f for k, f in enumerate(values, 1)), rounded)
-    return FreqSpectrum(points=_LawPoints(values), total_tokens=total, max_k=n)
+    points = dict(_law(spec, n))
+    total = _exact_sum((k * f for k, f in points.items()), spec.mode == "rounded_integer")
+    return FreqSpectrum(points=points, total_tokens=total, max_k=n)
+
+
+def generate_csv(spec: SyntheticSpec) -> Iterator[str]:
+    """spectrum_csv of the law spectrum of spec, made as it is consumed."""
+    return _csv_blocks(_law(spec, _law_points(spec)))
 
 
 def _check_corpus_tokens(tokens: int) -> None:
@@ -175,9 +150,9 @@ def _check_corpus_tokens(tokens: int) -> None:
         )
 
 
-def _corpus_blocks(points: Mapping[int, int]) -> Iterator[str]:
+def _corpus_blocks(points: Iterable[tuple[int, int]]) -> Iterator[str]:
     first = 0  # number of the next fresh word
-    for k, count in points.items():
+    for k, count in points:
         step = max(1, _BLOCK_TOKENS // k)
         for lo in range(first, first + count, step):
             yield "".join(f"w{i}\n" * k for i in range(lo, min(lo + step, first + count)))
@@ -197,7 +172,7 @@ def corpus_text(spec: FreqSpectrum) -> Iterator[str]:
     if not spec.is_integer_valued():
         raise ValueError("only integer-valued spectra can be materialized as a corpus")
     _check_corpus_tokens(spec.total_tokens)
-    return _corpus_blocks(spec.points)
+    return _corpus_blocks(spec.points.items())
 
 
 def spectrum_to_corpus(spec: FreqSpectrum) -> list[str]:
@@ -210,11 +185,15 @@ def generate_corpus(spec: SyntheticSpec) -> Iterator[str]:
 
     Every point holds at least one word, so n points make at least n(n+1)/2
     tokens: a corpus that this already puts above MAX_CORPUS_TOKENS is
-    refused before its spectrum is built.
+    refused before any point is evaluated.  The exact token total is then
+    summed over the law, at most 44,720 points, before any text is made.
     """
     n = _law_points(spec)
     _check_corpus_tokens(n * (n + 1) // 2)
-    return corpus_text(generate_spectrum(spec))
+    if spec.mode != "rounded_integer":
+        raise ValueError("only integer-valued spectra can be materialized as a corpus")
+    _check_corpus_tokens(sum(k * f for k, f in _law(spec, n)))
+    return _corpus_blocks(_law(spec, n))
 
 
 @dataclass(frozen=True)
@@ -306,9 +285,9 @@ def _exact_cell(a: float, b: float, n: int) -> tuple[float, float, float, float]
 def _rounded_runs(a: float, b: float, n: int) -> Iterator[tuple[int, int, int]]:
     """(first k, last k, F) of each run of equal rounded law values on k = 1 .. n.
 
-    F is evaluated as generate_spectrum does.  Where F(k + 1) = F(k), the
-    run's end is seeded from the inverse law, k <= (e^b / (F - 1/2))^(1/a),
-    and nudged to where the evaluated F changes.
+    F is evaluated as _law does.  Where F(k + 1) = F(k), the run's end is
+    seeded from the inverse law, k <= (e^b / (F - 1/2))^(1/a), and nudged to
+    where the evaluated F changes.
     """
     eb = math.exp(b)
 
@@ -364,23 +343,23 @@ def _check_float_total(total: float, a: float, b: float) -> None:
 
 
 def sweep(
-    a_grid: Sequence[float],
-    b_grid: Sequence[float],
+    a_grid: list[float],
+    b_grid: list[float],
     mode: str = "exact_real",
     k_cap: int | None = None,
 ) -> list[SweepRow]:
     """Entropy vs ceiling over a parameter grid, one row per (a, b) in grid order.
 
-    Every slope must be >= 1 up front; other per-cell generator rejections
-    (e.g. negative b, or more than MAX_LAW_POINTS points) are recorded in the
-    row instead of aborting the sweep.  Each cell's statistics come in closed
-    form from power sums, without building its spectrum: O(1) in exact mode
-    and one step per run of equal values in rounded mode.  They equal those
-    of generate_spectrum's spectrum: in rounded mode N, M and every chain
-    slack bit for bit, otherwise to float rounding.
+    The mode, k_cap and every slope (>= 1) are checked up front; other
+    per-cell generator rejections (e.g. negative b, or more than
+    MAX_LAW_POINTS points) are recorded in the row instead of aborting the
+    sweep.  Each cell's statistics come in closed form from power sums,
+    without building its spectrum: O(1) in exact mode and one step per run
+    of equal values in rounded mode.  They equal those of generate_spectrum's
+    spectrum: in rounded mode N, M and every chain slack bit for bit,
+    otherwise to float rounding.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    SyntheticSpec(a=1.0, b=0.0, mode=mode, k_cap=k_cap)  # checks the mode and k_cap every cell shares
     for a in a_grid:
         if not a >= 1:
             raise ValueError(f"slope grid must satisfy a >= 1, got {a}")

@@ -475,6 +475,13 @@ def test_sweep_overflowing_intercept_is_a_cell_error(capsys, b):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("k_cap", ["-3", "0"])
+def test_sweep_bad_k_cap_is_usage_error(capsys, k_cap):
+    # checked once, as gen checks it, not recorded as an error row per cell
+    argv = ["sweep", "--a", "1,2", "--b", "2,3", "--k-cap", k_cap]
+    assert run_cli(capsys, *argv) == (1, "", f"zipfent: error: k_cap must be >= 1, got {k_cap}\n")
+
+
 def test_gen_infinite_intercept_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "gen", "--a", "1", "--b", "inf")
     assert code == 1
@@ -522,6 +529,13 @@ def test_gen_exact_csv_matches_dict_spectrum(capsys):
     assert run_cli(capsys, "gen", "--a", "1.5", "--b", "3", "--mode", "exact") == (0, "".join(spectrum_csv(law)), "")
 
 
+def test_gen_exact_writes_rows_whose_total_overflows(capsys):
+    # each F(k) is a finite float, their token total N is not; gen never sums it
+    eb = math.exp(709.7)
+    argv = ["gen", "--a", "1", "--b", "709.7", "--mode", "exact", "--k-cap", "2"]
+    assert run_cli(capsys, *argv) == (0, f"k,F(k)\n1,{eb}\n2,{eb * 2.0**-1}\n", "")
+
+
 def test_sweep_oversized_spectrum_is_a_cell_error(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "sweep", "--a", "1", "--b", "40")
@@ -532,7 +546,11 @@ def test_sweep_oversized_spectrum_is_a_cell_error(capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["--a", "1", "--b", "14"], ["--a", "1", "--b", "50", "--k-cap", "2"]])
+@pytest.mark.parametrize(
+    "argv",
+    # the last is refused by the n(n+1)/2 lower bound; summing its 10^7 points takes seconds
+    [["--a", "1", "--b", "14"], ["--a", "1", "--b", "50", "--k-cap", "2"], ["--a", "1", "--b", "30", "--k-cap", "10000000"]],
+)
 def test_gen_oversized_corpus_is_refused_before_output(tmp_path, capsys, argv):
     target = tmp_path / "corpus.txt"
     start = time.perf_counter()

@@ -1,6 +1,11 @@
 """Synthetic power-law generator, round-trips, and the sweep."""
 
+import contextlib
+import io
 import math
+import os
+import tempfile
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -9,6 +14,7 @@ from hypothesis import strategies as st
 
 from zipfent import synth
 from zipfent.bound import chain_check, entropy_from_spectrum, entropy_upper_bound
+from zipfent.cli import _MODE_NAMES, main
 from zipfent.corpus import count_frequencies
 from zipfent.errors import InsufficientPointsError
 from zipfent.fit import fit_loglog
@@ -267,6 +273,34 @@ def test_compact_spectrum_equals_dict_construction(a, b, mode, k_cap):
     assert_same_spectrum(generate_spectrum(spec), law_oracle(spec), a, b)
 
 
+@settings(deadline=None)
+@given(
+    st.floats(1.0, 3.0),
+    st.floats(0.0, 6.0),
+    st.sampled_from(sorted(_MODE_NAMES)),
+    st.one_of(st.none(), st.integers(1, 5000)),
+)
+# values past 2^63: float rows in exact mode, a corpus refused by its exact total in rounded mode
+@example(1.0, 50.0, "exact", 2)
+@example(1.0, 50.0, "rounded", 2)
+@example(1.0, 700.0, "exact", 2)
+# refused by the n(n+1)/2 lower bound
+@example(1.0, 25.0, "rounded", 50_000)
+def test_gen_streams_what_the_dict_spectrum_writes(a, b, mode, k_cap):
+    oracle = law_oracle(SyntheticSpec(a=a, b=b, mode=_MODE_NAMES[mode], k_cap=k_cap))
+    try:
+        expected = "".join(spectrum_csv(oracle) if mode == "exact" else corpus_text(oracle)), 0, ""
+    except ValueError as exc:
+        expected = None, 1, f"zipfent: error: {exc}\n"
+    argv = ["gen", f"--a={a}", f"--b={b}", "--mode", mode] + ([] if k_cap is None else [f"--k-cap={k_cap}"])
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        out = os.path.join(tmp, "out")
+        code = main(argv + ["--out", out])
+        written = Path(out).read_text(encoding="utf-8") if os.path.exists(out) else None
+    assert (written, code, err.getvalue()) == expected
+
+
 def test_rounded_values_past_int64():
     spec = SyntheticSpec(a=1.0, b=50.0, mode="rounded_integer", k_cap=2)
     new = generate_spectrum(spec)
@@ -320,10 +354,11 @@ def test_corpus_token_limit():
 
 
 def test_generate_corpus_refuses_before_building_the_spectrum(monkeypatch):
-    def unreachable(spec):
+    def unreachable(*args):
         raise AssertionError("spectrum built")
 
     monkeypatch.setattr(synth, "generate_spectrum", unreachable)
+    monkeypatch.setattr(synth, "_law", unreachable)
     # 1.2M points make at least 7.2e11 tokens
     with pytest.raises(ValueError, match="--k-cap"):
         generate_corpus(SyntheticSpec(a=1.0, b=14.0))
