@@ -36,20 +36,21 @@ class EntropyValue:
         return cls(nats=nats, bits=nats / _LN2)
 
 
-def entropy(table: FrequencyTable, spectrum: FreqSpectrum | None = None) -> EntropyValue:
-    """-sum_w p(w) ln p(w) with p(w) = count(w) / N.
+def entropy(table: FrequencyTable) -> EntropyValue:
+    """-sum_w p(w) ln p(w) with p(w) = count(w) / N."""
+    if table.is_empty():
+        raise EmptyCorpusError("entropy of an empty table is undefined")
+    return _entropy_of_counts(Counter(table.counts.values()), table.total_tokens)
+
+
+def _entropy_of_counts(words_with: dict[int, int], n: int) -> EntropyValue:
+    """The entropy of words_with[c] words with count c each, for every c, out of n tokens.
 
     The term of each distinct count is computed once and fed to fsum once
     per word with that count.  fsum rounds the exact sum of its inputs
     once, so this is bit for bit the word-by-word sum, which a product
-    F(c) * term, rounded on its own, would not be.  ``spectrum``, when
-    given, must be ``freq_of_freq(table)``: its points are the number of
-    words with each count, so the counts are not histogrammed again.
+    F(c) * term, rounded on its own, would not be.
     """
-    if table.is_empty():
-        raise EmptyCorpusError("entropy of an empty table is undefined")
-    n = table.total_tokens
-    words_with = spectrum.points if spectrum is not None else Counter(table.counts.values())
     terms = (repeat(-(p := c / n) * math.log(p), f) for c, f in words_with.items())
     return EntropyValue.from_nats(math.fsum(chain.from_iterable(terms)) + 0.0)
 

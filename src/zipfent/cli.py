@@ -86,6 +86,8 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as f:
             f.writelines(chunks)
+    elif sys.stdout is None:  # started with file descriptor 1 closed
+        raise OSError("stdout is closed")
     else:
         sys.stdout.writelines(chunks)
 
@@ -150,25 +152,26 @@ def _cmd_analyze(args) -> int:
 def _report_group(
     paths: list[str], config: TokenizerConfig, fit_kmin: int | None, fit_kmax: int | None, fmt: str, bits: bool
 ) -> tuple[str, str | None, str | None]:
-    """Count one group of inputs and report it: (label, output, fit error).
+    """Count one group of inputs to its spectrum and report it: (label, output, fit error).
 
-    The output is the report rendered in fmt, or the spectrum for csv, made
-    here so that it is made in the process that counted the group; it is
-    None when the group has no words.
+    The group is reduced straight to F(k) (``corpus._count_spectrum``); no
+    pooled table is returned.  The output is the report rendered in fmt, or
+    the spectrum for csv, made here so that it is made in the process that
+    counted the group; it is None when the group has no words.
     """
-    from .corpus import count_stream
+    from .corpus import _count_spectrum
     from .report import build_report, report_json, report_text
-    from .spectrum import freq_of_freq, spectrum_csv
+    from .spectrum import spectrum_csv
 
-    table = count_stream(_open_inputs(paths), config)
+    spec = _count_spectrum(_open_inputs(paths), config)
     labels = paths or ["-"]
-    if table.is_empty():
+    if spec is None:
         return labels[0], None, None
-    report = build_report(table, config, labels, fit_kmin, fit_kmax)
+    report = build_report(spec, config, labels, fit_kmin, fit_kmax)
     if fmt == "json":
         output = report_json(report)
     elif fmt == "csv":
-        output = "".join(spectrum_csv(freq_of_freq(table)))
+        output = "".join(spectrum_csv(spec))
     else:
         output = report_text(report, bits)
     return labels[0], output, report["fit"].get("error")

@@ -15,8 +15,11 @@ where few tokens are new: a range of the 39 MB bench text holds 7.8%
 distinct tokens, and a 2,500-word file of the per-file bench 56.6%, which
 it counted slower.  The table of the range this process counts becomes the
 pooled table as it is, and a forked child's comes back in batches of words
-joined by spaces (``_RangeTable``), added one batch at a time.  Every other
-input is decoded piece by piece, case-folded whole and split at whitespace.
+joined by spaces (``_RangeTable``), added one batch at a time; the last
+child's batches are held to the end (``_pool``), where ``count_stream`` adds
+them and ``_count_spectrum``, which the CLI uses, folds them straight into
+the spectrum F(k).  Every other input is decoded piece by piece, case-folded
+whole and split at whitespace.
 Its few distinct tokens that are not ``str.isalnum``, and the byte tokens
 of a piece where folding would change which characters are word
 characters, go to ``_words_of_tokens`` too.  Both give the counts that
@@ -35,10 +38,12 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, filterfalse, islice, repeat
-from operator import add
+from itertools import chain, compress, filterfalse, islice, repeat
+from operator import add, not_
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator
+
+from .spectrum import FreqSpectrum, _from_histogram
 
 TOKEN_RULES = ("unicode_words", "whitespace")
 
@@ -175,9 +180,13 @@ def merge(tables: Iterable[FrequencyTable]) -> FrequencyTable:
 
 
 def _add(counts: dict[Any, int], keys: Iterable[Any], ns: Iterable[int]) -> None:
-    """Add each of ns to the count of the key at its place in keys, which are distinct and iterated twice."""
-    # distinct keys: each count is read before its key is written, so one
-    # dict.update of (key, sum) pairs adds them without a Python loop
+    """Add each of ns to the count of the key at its place in keys, which are iterated twice.
+
+    One dict.update of (key, sum) pairs adds them without a Python loop.  A
+    key may repeat: dict.update takes up the pairs one by one, and each sum
+    reads its key's count when its pair is taken up, after the pairs before
+    it are written.
+    """
     dict.update(counts, zip(keys, map(add, map(counts.get, keys, repeat(0)), ns)))
 
 
@@ -206,20 +215,64 @@ def count_stream(
     first range itself and forked children count the others; the table is
     the same, and each process holds a partial vocabulary of its own.  The
     first range's table is kept as the pooled table, and each child's is
-    added a batch of words at a time as it arrives (``_RangeTable``), so
-    that no table is built twice.  A range counts byte tokens and converts
-    each distinct one once (``_count_range``), which pays where most tokens
-    repeat one already counted; every other file is decoded and split piece
-    by piece (``_count_into``), which pays where most are new.  The pieces
+    added a batch of words at a time (``_RangeTable``), so that no table is
+    built twice: a child's batches are held until the next child's arrive,
+    and the last child's until every file is counted (``_pool``).  A range
+    counts byte tokens and converts each distinct one once
+    (``_count_range``), which pays where most tokens repeat one already
+    counted; every other file is decoded and split piece by piece
+    (``_count_into``), which pays where most are new.  The pieces
     of those files that hold a character of ``_FOLD_SPLITS`` are counted as
     byte tokens instead, and at the end, under ``unicode_words``, their
     tokens that are not ``str.isalnum`` join them; ``_words_of_tokens``
     converts that table once for all the files.  Either way each file is
     left at its end.
     """
+    counts, held = _pool(files, config, chunk_size)
+    _add_batches(counts, held)
+    if config.min_token_length > 1:
+        n = config.min_token_length
+        counts = {w: c for w, c in counts.items() if len(w) >= n}
+    return FrequencyTable._of_counted(counts)
+
+
+def _count_spectrum(files: Iterable[BinaryIO], config: TokenizerConfig) -> FreqSpectrum | None:
+    """``freq_of_freq(count_stream(files, config))``, or None where no word is counted.
+
+    The last forked child's batches are folded into the histogram of the
+    counts, not added to the pooled table: each of its words takes its
+    count out of the table, so no table grows for that share.
+    """
+    counts, held = _pool(files, config, None)
+    n = config.min_token_length
+    hist: Counter[int] = Counter()
+    while held:
+        words, ns = held.pop()
+        words = words.split(" ")
+        if n > 1:
+            long = list(map(n.__le__, map(len, words)))
+            words, ns = list(compress(words, long)), compress(ns, long)
+        hist.update(map(add, map(counts.pop, words, repeat(0)), ns))
+    if n > 1:
+        hist.update(compress(counts.values(), map(n.__le__, map(len, counts))))
+    else:
+        hist.update(counts.values())
+    return _from_histogram(hist) if hist else None
+
+
+def _pool(
+    files: Iterable[BinaryIO], config: TokenizerConfig, chunk_size: int | None
+) -> tuple[Counter[str], list[tuple[str, list[int]]]]:
+    """The pooled words of ``count_stream``, before the length filter, but for the last forked child's.
+
+    Each child's table arrives as batches (``_RangeTable``), which are held
+    until the next child's arrive and then added; the last child's are
+    returned as they are, for the caller to take up.
+    """
     if chunk_size is None:
         chunk_size = CHUNK_SIZE
     counts: Counter[str] = Counter()  # the words of the files cut into byte ranges
+    held: list[tuple[str, list[int]]] = []  # the batches of the last child's table
     local: Counter[str] = Counter()  # the tokens of the other files
     tokens: Counter[bytes] = Counter()  # their tokens that _words_of_tokens converts
     for f in files:
@@ -228,12 +281,11 @@ def count_stream(
             _count_into(local, tokens, f.read, config, chunk_size)
             continue
         jobs = [(f.fileno(), start, end, config, chunk_size) for start, end in ranges]
-        # each partial table is added as it arrives and then dropped
+        # each partial table is added and then dropped
         for table in _map(_count_range, jobs):
             if not isinstance(table, _RangeTable):  # a child's, in batches
-                while table:
-                    words, ns = table.pop(0)
-                    _add(counts, words.split(" "), ns)
+                _add_batches(counts, held)
+                held = table
             elif counts:
                 _add(counts, table.counts, table.counts.values())
             else:  # this process's: kept as it is
@@ -243,17 +295,20 @@ def count_stream(
     if config.token_rule == "unicode_words":
         # a token that is not str.isalnum may hold several words or none
         moved = list(filterfalse(str.isalnum, local))
-        _add(tokens, [token.encode() for token in moved], map(local.pop, moved))
+        _add(tokens, list(map(str.encode, moved)), map(local.pop, moved))
     converted = _words_of_tokens(tokens, config)
     _add(local, converted, converted.values())
-    if counts:
-        _add(counts, local, local.values())
-    else:
-        counts = local
-    if config.min_token_length > 1:
-        n = config.min_token_length
-        counts = {w: c for w, c in counts.items() if len(w) >= n}
-    return FrequencyTable._of_counted(counts)
+    if not counts:
+        return local, held
+    _add(counts, local, local.values())
+    return counts, held
+
+
+def _add_batches(counts: Counter[str], batches: list[tuple[str, list[int]]]) -> None:
+    """Add to counts the batches of a child's ``_RangeTable``, popping each as it is added."""
+    while batches:
+        words, ns = batches.pop()
+        _add(counts, words.split(" "), ns)
 
 
 def _count_into(
@@ -421,9 +476,11 @@ class _RangeTable:
     The process that counted the range keeps the table as it is.  Pickled,
     in a forked child of ``_fork_map``, it is a list of batches of
     ``_CONVERT_BATCH`` words joined by spaces, each with the list of their
-    counts, which loads several times faster than the table itself and
-    which the parent splits and adds one batch at a time.  No word holds a
-    space.
+    counts, which loads several times faster than the table itself.  The
+    parent splits and adds one batch at a time (``_add_batches``), or, for
+    the last child's in ``_count_spectrum``, folds each batch into the
+    spectrum.  No word holds a space, and no word repeats across a child's
+    batches.
     """
 
     __slots__ = ("counts",)
@@ -446,26 +503,23 @@ def _words_of_tokens(tokens: Counter[bytes], config: TokenizerConfig) -> Counter
     tokens that are not ``str.isalnum``, which are case-folded already when
     lowercasing: a fold is its own fold, so folding them again keeps them
     as they are.  Only a ``str.isalnum`` token of the string path becomes a
-    word anywhere else.  An ASCII token is one word under both rules and
-    already folded: the ASCII tokens are decoded together and inserted
-    first, as distinct ones give distinct words.  The other tokens are decoded and case-folded
-    together, and each is split as ``tokenize`` splits it (one word if it is
-    ``str.isalnum``), with its count added: several tokens can give one
-    word, ASCII ones too (U+212A folds to "k").  Both are done
-    ``_CONVERT_BATCH`` tokens at a time, popped from tokens, so that the two
-    tables are not both whole at once.
+    word anywhere else.  The tokens and their counts are taken as two lists
+    and tokens is cleared, so that its table is freed before the words'
+    grows.  ``_CONVERT_BATCH`` tokens at a time are decoded and case-folded
+    together.  A ``str.isalnum`` token is one word under both rules, and
+    under ``whitespace`` so is a ``str.isprintable`` one; those words are
+    added with one ``_add``, where several tokens can give one word
+    (U+212A and "K" fold to "k", "\u00c0bc" and "\u00e0bc" to "\u00e0bc").
+    Each other token is split as ``tokenize`` splits it, with its count
+    added to each of its words.
     """
+    keys, ns = list(tokens), list(tokens.values())
+    tokens.clear()
     counts: Counter[str] = Counter()
-    ascii_tokens = list(filter(bytes.isascii, tokens))
-    while ascii_tokens:
-        batch = ascii_tokens[-_CONVERT_BATCH:]
-        del ascii_tokens[-_CONVERT_BATCH:]
-        words = b" ".join(batch).decode("ascii").split(" ")
-        # dict.update: Counter.update would count the pairs
-        dict.update(counts, zip(words, map(tokens.pop, batch)))
     get, fold, whitespace = counts.get, config.lowercase, config.token_rule == "whitespace"
-    while batch := list(islice(tokens, _CONVERT_BATCH)):
-        ns = list(map(tokens.pop, batch))
+    while keys:
+        batch, batch_ns = keys[-_CONVERT_BATCH:], ns[-_CONVERT_BATCH:]
+        del keys[-_CONVERT_BATCH:], ns[-_CONVERT_BATCH:]
         # a space ends any UTF-8 sequence before it, and no character folds
         # to a space, so the tokens are decoded and folded as one by one
         joined = b" ".join(batch).decode("utf-8", "replace")
@@ -474,12 +528,14 @@ def _words_of_tokens(tokens: Counter[bytes], config: TokenizerConfig) -> Counter
         del batch
         texts = joined.split(" ")
         words = joined.casefold().split(" ") if fold else texts
-        for text, word, n in zip(texts, words, ns):
-            if text.isalnum():  # one word under both rules
-                parts: Iterable[str] = (word,)
-            elif whitespace:
-                # folding keeps every character's whitespace-ness
-                parts = word.split()
+        # every whitespace character but the space is unprintable, and
+        # folding keeps each character's whitespace-ness
+        one = list(map(str.isprintable, words)) if whitespace else list(map(str.isalnum, texts))
+        _add(counts, list(compress(words, one)), compress(batch_ns, one))
+        other = list(map(not_, one))
+        for text, word, n in zip(compress(texts, other), compress(words, other), compress(batch_ns, other)):
+            if whitespace:
+                parts: Iterable[str] = word.split()
             else:
                 parts = _WORD_RE.findall(text)
                 if fold:

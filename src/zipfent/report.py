@@ -5,34 +5,42 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from importlib import resources
+from typing import TYPE_CHECKING
 
-from .bound import chain_check, entropy, entropy_upper_bound
-from .corpus import FrequencyTable, TokenizerConfig
+from .bound import _entropy_of_counts, chain_check, entropy, entropy_upper_bound  # noqa: F401
 from .errors import InsufficientPointsError
 from .fit import fit_loglog
-from .spectrum import freq_of_freq
+from .spectrum import FreqSpectrum, freq_of_freq  # noqa: F401
+
+if TYPE_CHECKING:
+    from .corpus import TokenizerConfig
+
+# bench/tracer.py wraps entropy and freq_of_freq on this module; build_report,
+# given the spectrum, calls neither.
 
 
 def build_report(
-    table: FrequencyTable,
+    spec: FreqSpectrum,
     config: TokenizerConfig,
     inputs: list[str],
     fit_kmin: int | None = None,
     fit_kmax: int | None = None,
 ) -> dict:
-    """Run spectrum -> entropy -> fit -> bound -> chain on a counted corpus.
+    """Run entropy -> fit -> bound -> chain on the spectrum of a counted corpus.
 
-    Fit failure and bound inapplicability are recorded inside the report
-    rather than raised, so callers can still show everything that was
-    computable.  The report contains no timestamps or environment state:
-    identical input and config reproduce it byte for byte.
+    spec is integer-valued, as ``freq_of_freq`` and the analyze command
+    make it: N, V and M are its total, the sum of its F(k) and its largest
+    k, and the entropy needs only p = k / N.  Fit failure and bound
+    inapplicability are recorded inside the report rather than raised, so
+    callers can still show everything that was computable.  The report
+    contains no timestamps or environment state: identical input and config
+    reproduce it byte for byte.
     """
-    spec = freq_of_freq(table)
-    ent = entropy(table, spec)
+    ent = _entropy_of_counts(spec.points, spec.total_tokens)
     report: dict = {
-        "n_tokens": table.total_tokens,
-        "vocab_size": table.vocab_size,
-        "max_frequency": table.max_frequency,
+        "n_tokens": spec.total_tokens,
+        "vocab_size": sum(spec.points.values()),
+        "max_frequency": spec.max_k,
         "spectrum": {
             "distinct_k": len(spec.points),
             "k_min": min(spec.points),

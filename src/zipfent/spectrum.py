@@ -61,9 +61,14 @@ def freq_of_freq(table: FrequencyTable) -> FreqSpectrum:
     """Histogram the counts: F(k) = number of distinct words occurring exactly k times."""
     if table.is_empty():
         raise EmptyCorpusError("cannot build a spectrum from an empty table")
+    return _from_histogram(Counter(table.counts.values()))
+
+
+def _from_histogram(hist: Counter[int]) -> FreqSpectrum:
+    """The spectrum of a non-empty histogram of word counts, which maps each count k to F(k)."""
     # positive int F(k) at positive int k, sorted here: valid by
     # construction, so FreqSpectrum.from_points is skipped
-    points = dict(sorted(Counter(table.counts.values()).items()))
+    points = dict(sorted(hist.items()))
     total = sum(k * f for k, f in points.items())
     return FreqSpectrum(points=points, total_tokens=total, max_k=next(reversed(points)))
 

@@ -134,7 +134,10 @@ def generate_spectrum(spec: SyntheticSpec) -> FreqSpectrum:
     n = _law_points(spec)
     # valid and sorted by construction, so FreqSpectrum.from_points is skipped
     points = dict(_law(spec, n))
-    total = _exact_sum((k * f for k, f in points.items()), spec.mode == "rounded_integer")
+    try:
+        total = _exact_sum((k * f for k, f in points.items()), spec.mode == "rounded_integer")
+    except OverflowError:  # fsum's, where finite points sum past the float range
+        raise ValueError(f"token total overflows a float for a={spec.a}, b={spec.b}") from None
     return FreqSpectrum(points=points, total_tokens=total, max_k=n)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import random_tokens
 from zipfent.bound import (
+    _entropy_of_counts,
     chain_check,
     entropy,
     entropy_from_spectrum,
@@ -109,8 +110,9 @@ def entropy_word_by_word(table):
 def test_entropy_equals_the_word_by_word_sum_bit_for_bit(counts):
     table = FrequencyTable.from_counts({f"w{i}": c for i, c in enumerate(counts)})
     expected = entropy_word_by_word(table)
-    # the report passes the table's spectrum, whose points are the histogram
-    for value in (entropy(table), entropy(table, freq_of_freq(table))):
+    # build_report sums over the table's spectrum, whose points are the histogram
+    spec = freq_of_freq(table)
+    for value in (entropy(table), _entropy_of_counts(spec.points, spec.total_tokens)):
         assert value.nats.hex() == expected.hex()
         assert value.bits.hex() == (expected / math.log(2)).hex()
 

@@ -19,7 +19,7 @@ from zipfent import corpus
 from zipfent.cli import main
 from zipfent.corpus import TokenizerConfig, count_frequencies
 from zipfent.report import build_report, report_json, report_json_array, report_schema
-from zipfent.spectrum import FreqSpectrum, spectrum_csv
+from zipfent.spectrum import FreqSpectrum, freq_of_freq, spectrum_csv
 from zipfent.synth import SyntheticSpec, _law_k_max, generate_spectrum, spectrum_to_corpus
 
 
@@ -153,7 +153,7 @@ def test_report_json_array_is_report_json_of_the_list(n):
     tables = [count_frequencies("a a b b b c".split()), count_frequencies(["x"]),
               count_frequencies("p q q r r r r".split())]
     labels = ["caf\u00e9 \u5317.txt", 'a "b"\n\tc.txt', "-"]
-    reports = [build_report(t, TokenizerConfig(), [label]) for t, label in zip(tables[:n], labels)]
+    reports = [build_report(freq_of_freq(t), TokenizerConfig(), [label]) for t, label in zip(tables[:n], labels)]
     assert report_json_array([report_json(r) for r in reports]) == report_json(reports)
 
 
@@ -511,6 +511,20 @@ def test_analyze_with_stdin_closed_is_io_error():
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "zipfent: error: stdin is closed\n")
 
+
+@pytest.mark.parametrize("command", ["sweep", "analyze"])
+def test_a_command_with_stdout_closed_is_io_error(tmp_path, command):
+    # with file descriptor 1 closed the interpreter starts with sys.stdout None
+    path = tmp_path / "in.txt"
+    path.write_text("a a b c", encoding="utf-8")
+    argv = ["sweep", "--a", "1", "--b", "1,2"] if command == "sweep" else ["analyze", str(path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "zipfent", *argv],
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stderr) == (3, "zipfent: error: stdout is closed\n")
 
 @pytest.mark.parametrize("a, b, k_cap", [(1.0, 0.0, None), (1.0, 5.0, None), (1.5, 6.0, 20), (2.0, 7.5, 3)])
 def test_gen_rounded_streams_the_token_list(tmp_path, capsys, a, b, k_cap):

@@ -1,6 +1,7 @@
 """Tokenizer and frequency-table behavior."""
 
 import bz2
+import contextlib
 import gzip
 import io
 import lzma
@@ -13,9 +14,10 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zipfent import corpus
@@ -28,6 +30,7 @@ from zipfent.corpus import (
     merge,
     tokenize,
 )
+from zipfent.spectrum import freq_of_freq
 
 
 def test_tokenize_case_folds_and_splits_punctuation():
@@ -237,8 +240,10 @@ def test_fold_splits_holds_every_character_whose_case_fold_changes_its_word_runs
     # fold of each word would give only where folding keeps every
     # character's word-ness and whitespace-ness; a fold is its own fold, so
     # a folded token that is not one word can be folded again when it is
-    # converted with the byte tokens; and byte tokens are folded joined by
-    # spaces, which needs that no character folds to a space
+    # converted with the byte tokens; byte tokens are folded joined by
+    # spaces, which needs that no character folds to a space; and under
+    # whitespace a str.isprintable token is taken as one word, which needs
+    # that every whitespace character but the space is unprintable
     def is_word(c):
         return c.isalnum() or c == "_"
 
@@ -251,6 +256,22 @@ def test_fold_splits_holds_every_character_whose_case_fold_changes_its_word_runs
     assert all(f.casefold() == f for _, f in changed)
     assert not any(" " in f for _, f in changed)
     assert not any(is_word(c) for c in chars if c.isspace())
+    assert [c for c in chars if c.isspace() and c.isprintable()] == [" "]
+
+
+@given(
+    st.dictionaries(st.sampled_from("abcdefgh"), st.integers(min_value=1, max_value=2**70), max_size=4),
+    st.lists(st.tuples(st.sampled_from("abcdefgh"), st.integers(min_value=1, max_value=2**70)), max_size=30),
+)
+def test_add_equals_a_per_key_loop_where_keys_repeat(start, pairs):
+    # _words_of_tokens adds the words of a batch with one _add, and two
+    # tokens of a batch can fold to one word
+    expected = dict(start)
+    for key, n in pairs:
+        expected[key] = expected.get(key, 0) + n
+    counts = Counter(start)
+    corpus._add(counts, [key for key, _ in pairs], (n for _, n in pairs))
+    assert counts == expected
 
 
 # the fragments above with many space and newline bytes, where ranges are cut
@@ -420,6 +441,66 @@ def test_the_ranges_of_two_large_files_pool_into_a_counter_that_pickles_as_itsel
     assert type(table.counts) is Counter
     copy = pickle.loads(pickle.dumps(table))
     assert type(copy.counts) is Counter and copy == table
+
+
+# words that fold onto one another, a fold-split one and short ones, so that
+# one converted batch repeats a word and the length filter drops some
+_SPECTRUM_VOCAB = ["caf\u00e9", "Caf\u00e9", "CAF\u00c9", "Stra\u00dfe", "STRASSE", "K", "k", "\u212a", "to", "a",
+                   "x_1", "\u00abb\u00bb", "c\u2014d", "\u0130stanbul", "\U0001d518x", "na\u00efve"]
+
+
+def _spectrum_text(rng: random.Random, words: int) -> bytes:
+    suffixes = ["", "\n", ","]
+    return " ".join(rng.choice(_SPECTRUM_VOCAB) + rng.choice(suffixes) + rng.choice(["", str(rng.randrange(300))])
+                    for _ in range(words)).encode("utf-8")
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    cpus=st.integers(min_value=1, max_value=4),
+    config=st.builds(TokenizerConfig, lowercase=st.booleans(), min_token_length=st.sampled_from([1, 3]),
+                     token_rule=st.sampled_from(TOKEN_RULES)),
+    separators=st.booleans(),
+)
+def test_count_spectrum_is_the_spectrum_of_count_stream(tmp_path_factory, seed, cpus, config, separators):
+    # two large files cut into up to 4 byte ranges each and a small file in
+    # one pooled group: with 3 or more ranges a file's last child takes up
+    # the batches held from the child before it.  With separators and 3 or
+    # more ranges a range of the first file holds no word under unicode_words
+    rng = random.Random(seed)
+    marks = " ".join(rng.choice([".", ",", "--", "!?", "\u00ab\u00bb", "\u2014"]) for _ in range(2000)).encode("utf-8")
+    first = _spectrum_text(rng, 300) + (b"\n" + marks + b"\n" if separators else b" ") + _spectrum_text(rng, 300)
+    texts = [first, _spectrum_text(rng, 600), _spectrum_text(rng, 20)]
+    paths = [tmp_path_factory.mktemp("spectrum") / name for name in ("a.txt", "b.txt", "c.txt")]
+    for path, text in zip(paths, texts):
+        path.write_bytes(text)
+    with mock.patch.object(corpus, "PARALLEL_MIN_BYTES", 1 << 10), \
+            mock.patch.object(corpus, "_cpu_count", lambda: cpus):
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(open(path, "rb")) for path in paths]
+            ranges = [corpus._parallel_ranges(f) for f in files]
+            assert list(map(len, ranges)) == [cpus, cpus, 0]
+            if separators and cpus >= 3:
+                assert any(not re.search(r"\w", first[lo:hi].decode("utf-8")) for lo, hi in ranges[0])
+            spec = corpus._count_spectrum(files, config)
+        with contextlib.ExitStack() as stack:
+            table = count_stream([stack.enter_context(open(path, "rb")) for path in paths], config)
+    assert spec == freq_of_freq(table)
+    assert table.counts == _one_shot(b"\n".join(texts), config)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("token_rule", TOKEN_RULES)
+def test_count_spectrum_of_words_all_shorter_than_the_minimum_is_none(tmp_path, monkeypatch, cpus, token_rule):
+    path = tmp_path / "short.txt"
+    path.write_bytes(b"a bb c. d\n" * 500)
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 10)
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: cpus)
+    config = TokenizerConfig(min_token_length=3, token_rule=token_rule)
+    with open(path, "rb") as f:
+        assert len(corpus._parallel_ranges(f)) == cpus
+        assert corpus._count_spectrum([f], config) is None
 
 
 def test_a_large_file_is_one_range_counted_in_process_where_no_fork_may_start(tmp_path, monkeypatch):

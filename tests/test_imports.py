@@ -107,3 +107,8 @@ def test_unknown_names_raise_attribute_error():
 @pytest.mark.parametrize("name", ["read_text", "tokenize", "count_frequencies", "merge", "build_report", "report_json"])
 def test_the_names_bench_tracer_wraps_on_cli_resolve(name):
     assert getattr(zipfent.cli, name) is getattr(zipfent, name)
+
+
+@pytest.mark.parametrize("name", ["freq_of_freq", "entropy", "fit_loglog", "chain_check"])
+def test_the_names_bench_tracer_wraps_on_report_resolve(name):
+    assert getattr(zipfent.report, name) is getattr(zipfent, name)

@@ -255,6 +255,12 @@ def test_law_k_max_overflow_is_value_error(a, b):
         _law_k_max(a, b)
 
 
+def test_generate_spectrum_whose_token_total_overflows_is_value_error():
+    # both points are finite, near the largest float, and their fsum is not
+    spec = SyntheticSpec(a=1, b=709.7, mode="exact_real", k_cap=2)
+    with pytest.raises(ValueError, match="token total overflows"):
+        generate_spectrum(spec)
+
 @pytest.mark.parametrize("b", [math.inf, math.nan])
 def test_spec_rejects_non_finite_intercept(b):
     with pytest.raises(ValueError):
