@@ -79,8 +79,8 @@ CHUNK_SIZE = 1 << 17
 PARALLEL_MIN_BYTES = 8 << 20
 MAX_WORKERS = 8
 
-# True while this process computes a share of a _fork_map, in its children
-# and in the parent's own share, so that nothing forks inside one.
+# True while a _fork_map runs in this process, from before its first fork to
+# its end, and so in its children, so that nothing forks inside one.
 _in_fork_map = False
 
 # Ranges are cut at these bytes, searched for this far past an even share.
@@ -216,23 +216,20 @@ def count_stream(
     the same, and each process holds a partial vocabulary of its own.  The
     first range's table is kept as the pooled table, and each child's is
     added a batch of words at a time (``_RangeTable``), so that no table is
-    built twice: a child's batches are held until the next child's arrive,
-    and the last child's until every file is counted (``_pool``).  A range
-    counts byte tokens and converts each distinct one once
+    built twice or copied: a child's batches are held until the next child's
+    arrive, and the last child's until every file is counted (``_pool``).  A
+    range counts byte tokens and converts each distinct one once
     (``_count_range``), which pays where most tokens repeat one already
     counted; every other file is decoded and split piece by piece
     (``_count_into``), which pays where most are new.  The pieces
     of those files that hold a character of ``_FOLD_SPLITS`` are counted as
     byte tokens instead, and at the end, under ``unicode_words``, their
     tokens that are not ``str.isalnum`` join them; ``_words_of_tokens``
-    converts that table once for all the files.  Either way each file is
-    left at its end.
+    converts that table once for all the files.  Each table drops its short
+    words where it is made (``_drop_short``).  Each file is left at its end.
     """
     counts, held = _pool(files, config, chunk_size)
     _add_batches(counts, held)
-    if config.min_token_length > 1:
-        n = config.min_token_length
-        counts = {w: c for w, c in counts.items() if len(w) >= n}
     return FrequencyTable._of_counted(counts)
 
 
@@ -244,30 +241,23 @@ def _count_spectrum(files: Iterable[BinaryIO], config: TokenizerConfig) -> FreqS
     count out of the table, so no table grows for that share.
     """
     counts, held = _pool(files, config, None)
-    n = config.min_token_length
     hist: Counter[int] = Counter()
     while held:
         words, ns = held.pop()
-        words = words.split(" ")
-        if n > 1:
-            long = list(map(n.__le__, map(len, words)))
-            words, ns = list(compress(words, long)), compress(ns, long)
-        hist.update(map(add, map(counts.pop, words, repeat(0)), ns))
-    if n > 1:
-        hist.update(compress(counts.values(), map(n.__le__, map(len, counts))))
-    else:
-        hist.update(counts.values())
+        hist.update(map(add, map(counts.pop, words.split(" "), repeat(0)), ns))
+    hist.update(counts.values())
     return _from_histogram(hist) if hist else None
 
 
 def _pool(
     files: Iterable[BinaryIO], config: TokenizerConfig, chunk_size: int | None
 ) -> tuple[Counter[str], list[tuple[str, list[int]]]]:
-    """The pooled words of ``count_stream``, before the length filter, but for the last forked child's.
+    """The pooled words of ``count_stream``, but for the last forked child's.
 
     Each child's table arrives as batches (``_RangeTable``), which are held
     until the next child's arrive and then added; the last child's are
-    returned as they are, for the caller to take up.
+    returned as they are, for the caller to take up.  The table of the
+    files not cut into ranges drops its short words before it is pooled.
     """
     if chunk_size is None:
         chunk_size = CHUNK_SIZE
@@ -298,6 +288,7 @@ def _pool(
         _add(tokens, list(map(str.encode, moved)), map(local.pop, moved))
     converted = _words_of_tokens(tokens, config)
     _add(local, converted, converted.values())
+    _drop_short(local, config)
     if not counts:
         return local, held
     _add(counts, local, local.values())
@@ -309,6 +300,14 @@ def _add_batches(counts: Counter[str], batches: list[tuple[str, list[int]]]) -> 
     while batches:
         words, ns = batches.pop()
         _add(counts, words.split(" "), ns)
+
+
+def _drop_short(counts: Counter[str], config: TokenizerConfig) -> None:
+    """Delete from counts the words shorter than ``config.min_token_length``, as ``tokenize`` drops them."""
+    n = config.min_token_length
+    if n > 1:
+        for word in list(compress(counts, map(n.__gt__, map(len, counts)))):
+            del counts[word]
 
 
 def _count_into(
@@ -323,8 +322,8 @@ def _count_into(
     ``unicode_words``, whose fold would change its runs of word characters,
     has its byte tokens counted in tokens instead.  The caller moves the
     tokens in counts that are not ``str.isalnum`` into tokens, converts
-    tokens with ``_words_of_tokens`` and applies the length filter, once
-    per table.
+    tokens with ``_words_of_tokens`` and drops the short words
+    (``_drop_short``), once per table.
     """
     splits = config.token_rule == "unicode_words" and config.lowercase
     for piece in _pieces(read, config, chunk_size):
@@ -454,7 +453,7 @@ def _count_range(job: tuple[int, int, int, TokenizerConfig, int]) -> _RangeTable
     distinct token once (``_words_of_tokens``), so that decoding, folding
     and splitting cost per distinct token, not per token.  A range ends
     before a space or newline byte, so its tokens decode as they do in the
-    whole file.
+    whole file.  Its short words are dropped here, so no child pickles one.
     """
     fd, start, end, config, chunk_size = job
     pos = start
@@ -467,11 +466,13 @@ def _count_range(job: tuple[int, int, int, TokenizerConfig, int]) -> _RangeTable
 
     # no name holds the last piece, which may be one long token
     tokens = Counter(chain.from_iterable(map(bytes.split, _pieces(read, config, chunk_size))))
-    return _RangeTable(_words_of_tokens(tokens, config))
+    counts = _words_of_tokens(tokens, config)
+    _drop_short(counts, config)
+    return _RangeTable(counts)
 
 
 class _RangeTable:
-    """The table of one byte range, ``counts``, as ``_count_range`` returns it.
+    """The table of one byte range, ``counts``, as ``_count_range`` returns it: final, short words dropped.
 
     The process that counted the range keeps the table as it is.  Pickled,
     in a forked child of ``_fork_map``, it is a list of batches of
@@ -554,7 +555,8 @@ def _fork_map(fn: Callable[[Any], Any], jobs: list[Any], workers: int) -> Iterat
     reading the children's results.  fn and the jobs reach the children by
     fork, so only results and exceptions are pickled.  The first failure in
     job order is raised here, and every child is reaped before this returns
-    or raises.  ``_map`` calls it, where ``_can_fork`` holds.
+    or raises.  ``_map`` calls it, where ``_can_fork`` holds; ``_in_fork_map``
+    is set from before the first fork to the end, so no fork map nests in it.
     """
     # imported here, so that importing the CLI does not pay for it
     import pickle
@@ -562,6 +564,7 @@ def _fork_map(fn: Callable[[Any], Any], jobs: list[Any], workers: int) -> Iterat
     global _in_fork_map
     pids, pipes = [], []
     done = False
+    _in_fork_map = True
     try:
         for w in range(1, workers):
             read_fd, write_fd = os.pipe()
@@ -578,11 +581,7 @@ def _fork_map(fn: Callable[[Any], Any], jobs: list[Any], workers: int) -> Iterat
         for i, job in enumerate(jobs):
             w = i % workers
             if w == 0:
-                _in_fork_map = True
-                try:
-                    result = fn(job)
-                finally:
-                    _in_fork_map = False
+                result = fn(job)
             else:
                 try:
                     ok, result = pickle.load(pipes[w - 1])
@@ -593,6 +592,7 @@ def _fork_map(fn: Callable[[Any], Any], jobs: list[Any], workers: int) -> Iterat
             yield result
         done = True
     finally:
+        _in_fork_map = False
         for pipe in pipes:
             pipe.close()
         if not done:
@@ -610,11 +610,10 @@ def _serve_share(fn: Callable[[Any], Any], jobs: list[Any], fd: int) -> None:
 
     Stops after the first failure and leaves with ``os._exit``, so that the
     child runs none of the parent's clean-up and flushes none of its buffers.
+    It inherits ``_in_fork_map`` set, so fn starts no fork map of its own.
     """
     import pickle
 
-    global _in_fork_map
-    _in_fork_map = True
     code = 1
     try:
         with open(fd, "wb") as out:

@@ -32,8 +32,10 @@ def fit_loglog(spec: FreqSpectrum, k_min: int = 1, k_max: int | None = None) -> 
     Unweighted and deterministic; the result does not depend on point order.
     Raises InsufficientPointsError when fewer than two distinct k survive the
     range filter (e.g. single-word corpora, or a k_min above the largest
-    stored k when k_max is not given), in which case the power law cannot
-    be instantiated at all.  An explicit k_max below k_min is a ValueError.
+    stored k when k_max is not given), or when they do not give two distinct
+    floats ln k (k beyond 2**53 can share one), in which case the power law
+    cannot be instantiated at all.  An explicit k_max below k_min is a
+    ValueError.
     """
     if k_min < 1:
         raise ValueError(f"k_min must be >= 1, got {k_min}")
@@ -45,6 +47,9 @@ def fit_loglog(spec: FreqSpectrum, k_min: int = 1, k_max: int | None = None) -> 
     if len(used) < 2:
         raise InsufficientPointsError(len(used))
     xs = [math.log(k) for k in used]
+    distinct = len(set(xs))
+    if distinct < 2:
+        raise InsufficientPointsError(distinct)
     ys = [math.log(f) for f in used.values()]
     slope, intercept = statistics.linear_regression(xs, ys)
     resid = [y - (slope * x + intercept) for x, y in zip(xs, ys)]

@@ -54,7 +54,8 @@ class SyntheticSpec:
 
     Generation is refused for a < 1 (outside the regime the entropy ceiling
     covers), for b < 0 (no k would reach F(k) >= 1, leaving the spectrum
-    empty) and for infinite b (no finite spectrum).
+    empty), for infinite b (no finite spectrum) and for infinite a (the
+    a -> infinity limit is not a power law).
     """
 
     a: float
@@ -65,6 +66,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if not self.a >= 1:
             raise ValueError(f"slope a must be >= 1, got {self.a}")
+        if not math.isfinite(self.a):
+            raise ValueError(f"slope a must be finite, got {self.a}")
         if not self.b >= 0:
             raise ValueError(
                 f"intercept b must be >= 0 (smaller values yield an empty spectrum), got {self.b}"
@@ -353,7 +356,7 @@ def sweep(
 ) -> list[SweepRow]:
     """Entropy vs ceiling over a parameter grid, one row per (a, b) in grid order.
 
-    The mode, k_cap and every slope (>= 1) are checked up front; other
+    The mode, k_cap and every slope (finite, >= 1) are checked up front; other
     per-cell generator rejections (e.g. negative b, or more than
     MAX_LAW_POINTS points) are recorded in the row instead of aborting the
     sweep.  Each cell's statistics come in closed form from power sums,
@@ -366,6 +369,8 @@ def sweep(
     for a in a_grid:
         if not a >= 1:
             raise ValueError(f"slope grid must satisfy a >= 1, got {a}")
+        if not math.isfinite(a):
+            raise ValueError(f"slope grid must be finite, got {a}")
     cell = _exact_cell if mode == "exact_real" else _rounded_cell
     rows: list[SweepRow] = []
     for a in a_grid:

@@ -1,5 +1,10 @@
 import random
 
+from hypothesis import settings
+
+# A longer search for the property tests, selected with --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=2000)
+
 
 def random_tokens(rng: random.Random, max_tokens: int = 100, alphabet: int = 12) -> list[str]:
     """Random corpus over a small alphabet; at least one token."""

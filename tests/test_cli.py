@@ -489,6 +489,16 @@ def test_gen_infinite_intercept_is_usage_error(capsys):
     assert err == "zipfent: error: intercept b must be finite, got inf\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["gen", "--a", "inf", "--b", "1"], "slope a must be finite, got inf"),
+     (["sweep", "--a", "1,inf", "--b", "1"], "slope grid must be finite, got inf")],
+)
+def test_infinite_slope_is_usage_error(capsys, argv, message):
+    # refused as an infinite intercept is, not answered with the a -> inf limit
+    assert run_cli(capsys, *argv) == (1, "", f"zipfent: error: {message}\n")
+
+
 def test_module_entry_point_runs(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("alpha beta alpha", encoding="utf-8")
@@ -605,3 +615,58 @@ def test_gen_and_sweep_end_with_an_exit_code_never_an_exception(command, a, b, m
             code = exc.code
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def analyze_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("analyze-inputs")
+    texts = {
+        "text.txt": " ".join(f"w{i}" for i in range(1, 30) for _ in range(60 // i)).encode(),
+        "empty.txt": b"",
+        "invalid.txt": b"\xff\xfe caf\xc3 \x80 word\xed\xa0\x80 word",
+        "word.txt": b"word\n",
+    }
+    for name, data in texts.items():
+        (root / name).write_bytes(data)
+    (root / "dir").mkdir()
+    return root
+
+
+_ANALYZE_VALUES = ["-1", "0", "1", "3", str(2**63), str(10**30), "x", ""]
+
+
+# a fifth of the profile's examples: each one reads files and may fork
+@settings(deadline=None, max_examples=settings().max_examples // 5)
+@given(
+    options=st.dictionaries(st.sampled_from(["--fit-kmin", "--fit-kmax", "--min-token-len"]),
+                            st.sampled_from(_ANALYZE_VALUES)),
+    flags=st.lists(st.sampled_from(["--per-file", "--no-lowercase", "--bits"]), unique=True),
+    fmt=st.sampled_from([None, "json", "csv", "text"]),
+    token_rule=st.sampled_from([None] + list(corpus.TOKEN_RULES)),
+    inputs=st.lists(st.sampled_from(["text.txt", "empty.txt", "invalid.txt", "word.txt", "dir", "missing.txt"]),
+                    min_size=1, max_size=3),
+)
+def test_analyze_ends_with_an_exit_code_never_an_exception(analyze_inputs, options, flags, fmt, token_rule, inputs):
+    argv = ["analyze", *flags, *(f"{name}={value}" for name, value in options.items())]
+    argv += ([] if fmt is None else ["--format", fmt]) + ([] if token_rule is None else ["--token-rule", token_rule])
+    argv += [str(analyze_inputs / name) for name in inputs]
+    out, err = io.StringIO(), io.StringIO()
+    usage = False
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage exit
+            code, usage = exc.code, True
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    lines = err.getvalue().splitlines()
+    if usage:
+        # the usage, which may wrap, then one error line
+        assert code == 1 and lines[-1].startswith("zipfent analyze: error: ")
+        assert sum("error:" in line for line in lines) == 1
+    elif code == 0:
+        assert lines == []
+    else:
+        # one line per error: a fit error per file where --per-file reports each
+        assert all(line.startswith("zipfent: ") for line in lines)
+        assert 1 <= len(lines) <= (len(inputs) if code == 2 and "--per-file" in flags else 1)

@@ -402,11 +402,13 @@ def test_pooled_ranges_and_stream_pieces_count_to_the_tokens_of_their_join(tmp_p
     assert table.counts == _one_shot(big + b"\n" + stream, config)
 
 
+@pytest.mark.parametrize("min_token_length", [1, 3])
 @pytest.mark.parametrize("lowercase", [True, False])
 @pytest.mark.parametrize("token_rule", TOKEN_RULES)
-def test_a_childs_table_crosses_the_pipe_in_batches(tmp_path, monkeypatch, lowercase, token_rule):
+def test_a_childs_table_crosses_the_pipe_in_batches(tmp_path, monkeypatch, lowercase, token_rule, min_token_length):
     # batches of 3 words; the middle range holds only punctuation and
-    # spaces, so under unicode_words its child sends an empty table
+    # spaces, so under unicode_words its child sends an empty table.  A
+    # range's table drops its short words before a child pickles it
     rng = random.Random(7)
     marks = " ".join(rng.choice([".", ",", "--", "!?", "\u00ab\u00bb", "\u2014", "(", ")"]) for _ in range(600))
     data = _random_text(8, 150) + b"\n" + marks.encode("utf-8") + b"\n" + _random_text(9, 150)
@@ -414,12 +416,14 @@ def test_a_childs_table_crosses_the_pipe_in_batches(tmp_path, monkeypatch, lower
     path.write_bytes(data)
     _split_in_three(monkeypatch)
     monkeypatch.setattr(corpus, "_CONVERT_BATCH", 3)
-    config = TokenizerConfig(lowercase=lowercase, token_rule=token_rule)
+    config = TokenizerConfig(lowercase=lowercase, min_token_length=min_token_length, token_rule=token_rule)
     with open(path, "rb") as f:
         ranges = corpus._parallel_ranges(f)
         (_, lo), (_, hi), (_, end) = ranges
         assert not re.search(r"\w", data[lo:hi].decode("utf-8"))
-        assert len(pickle.loads(pickle.dumps(corpus._count_range((f.fileno(), hi, end, config, 64))))) > 1
+        batches = pickle.loads(pickle.dumps(corpus._count_range((f.fileno(), hi, end, config, 64))))
+        assert len(batches) > 1
+        assert min(len(word) for words, _ in batches for word in words.split(" ")) >= min_token_length
         table = count_stream([f], config, 64)
     assert table.counts == _one_shot(data, config)
 
@@ -625,5 +629,8 @@ def test_fork_map_child_without_a_result_is_an_os_error():
 def test_fork_map_closed_early_stops_and_reaps_its_children():
     results = corpus._fork_map(lambda j: j, range(100), 3)
     assert next(results) == 0 and next(results) == 1
+    # suspended between two results, the map still forbids another
+    assert not corpus._can_fork()
     results.close()
+    assert corpus._can_fork()
     _assert_no_child_left()

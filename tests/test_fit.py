@@ -6,8 +6,10 @@ import random
 import numpy as np
 import pytest
 
+from zipfent.corpus import TokenizerConfig
 from zipfent.errors import InsufficientPointsError
 from zipfent.fit import fit_loglog
+from zipfent.report import build_report
 from zipfent.spectrum import FreqSpectrum
 
 
@@ -116,3 +118,16 @@ def test_k_min_beyond_the_largest_k_leaves_no_points():
     with pytest.raises(InsufficientPointsError) as exc:
         fit_loglog(law_spectrum(1.0, 3.0, range(1, 11)), k_min=20)
     assert exc.value.available == 0
+
+
+def test_k_that_share_one_float_log_are_one_point():
+    # ln(2**53) and ln(2**53 + 1) round to one float, so the fit has one x
+    spec = FreqSpectrum.from_points({2**53: 1, 2**53 + 1: 1, 1: 1})
+    assert math.log(2**53) == math.log(2**53 + 1)
+    with pytest.raises(InsufficientPointsError) as exc:
+        fit_loglog(spec, k_min=2)
+    assert exc.value.available == 1
+    assert fit_loglog(spec).points_used == 3
+    report = build_report(spec, TokenizerConfig(), ["big.txt"], fit_kmin=2)
+    assert report["fit"] == {"error": "log-log fit needs at least 2 distinct frequencies in range, have 1"}
+    assert report["bound"] is None and report["chain"] is None

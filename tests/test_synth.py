@@ -267,6 +267,11 @@ def test_spec_rejects_non_finite_intercept(b):
         SyntheticSpec(a=1.0, b=b)
 
 
+def test_spec_rejects_infinite_slope():
+    with pytest.raises(ValueError, match="slope a must be finite"):
+        SyntheticSpec(a=math.inf, b=1.0)
+
+
 @settings(deadline=None)
 @given(
     st.floats(1.0, 3.0),
