@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .errors import BoundNotApplicableError, EmptyCorpusError
 from .spectrum import FreqSpectrum
 
@@ -24,8 +24,7 @@ _LN2 = math.log(2)
 DEFAULT_CHAIN_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class EntropyValue:
+class EntropyValue(Record):
     """Entropy in nats, with the derived bit value (nats / ln 2)."""
 
     nats: float
@@ -79,14 +78,12 @@ def entropy_upper_bound(a: float, b: float) -> float:
     return math.exp(b * (1 - 1 / a)) * (b / a + 1)
 
 
-@dataclass(frozen=True)
-class InequalityResult:
+class InequalityResult(Record):
     slack: float
     ok: bool
 
 
-@dataclass(frozen=True)
-class ChainDiagnostics:
+class ChainDiagnostics(Record):
     """Worst-case slack of each inequality the ceiling's derivation relies on.
 
     Slacks are oriented so that >= 0 means satisfied.  Each slack is a

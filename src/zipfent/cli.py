@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
 
@@ -89,7 +90,18 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     elif sys.stdout is None:  # started with file descriptor 1 closed
         raise OSError("stdout is closed")
     else:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except OSError:
+            # what stays buffered is flushed again at exit, outside main's
+            # handlers; with /dev/null under the descriptor that flush passes
+            try:
+                with open(os.devnull, "wb") as null:
+                    os.dup2(null.fileno(), sys.stdout.fileno())
+            except OSError:  # a stream without a descriptor
+                pass
+            raise
 
 
 def _open_inputs(paths: list[str]) -> Iterator[BinaryIO]:

@@ -37,12 +37,12 @@ import stat
 import sys
 import threading
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, compress, filterfalse, islice, repeat
 from operator import add, not_
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
+from ._record import Record
 from .spectrum import FreqSpectrum, _from_histogram
 
 TOKEN_RULES = ("unicode_words", "whitespace")
@@ -92,8 +92,7 @@ _CUT_SEARCH_BYTES = 1 << 16
 _CONVERT_BATCH = 1 << 14
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
+class TokenizerConfig(Record):
     """How raw text is split into words before counting."""
 
     lowercase: bool = True
@@ -131,8 +130,7 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_CONFIG) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
+class FrequencyTable(Record):
     """Immutable word -> occurrence-count map with precomputed aggregates.
 
     ``total_tokens`` is the sum of all counts (N) and ``max_frequency`` the

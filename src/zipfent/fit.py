@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import InsufficientPointsError
 from .spectrum import FreqSpectrum
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(Record):
     """Fitted slope magnitude a and intercept b (natural-log units).
 
     ``k_min``/``k_max`` are the smallest and largest stored frequencies that

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
-from importlib import resources
 from typing import TYPE_CHECKING
 
 from .bound import _entropy_of_counts, chain_check, entropy, entropy_upper_bound  # noqa: F401
@@ -46,8 +44,8 @@ def build_report(
             "k_min": min(spec.points),
             "k_max": spec.max_k,
         },
-        # dataclasses as dicts: their field order is the schema's key order
-        "entropy": asdict(ent),
+        # records as dicts: their field order is the schema's key order
+        "entropy": ent._asdict(),
         # filled in below; set here so the keys keep the schema's order
         "fit": None,
         "bound": None,
@@ -58,7 +56,7 @@ def build_report(
     except InsufficientPointsError as exc:
         report["fit"] = {"error": str(exc)}
     else:
-        report["fit"] = asdict(fit)
+        report["fit"] = fit._asdict()
         if fit.a >= 1:
             value = entropy_upper_bound(fit.a, fit.b)
             report["bound"] = {
@@ -68,7 +66,7 @@ def build_report(
                 "a": fit.a,
                 "b": fit.b,
             }
-            report["chain"] = asdict(chain_check(spec, fit.a, fit.b))
+            report["chain"] = chain_check(spec, fit.a, fit.b)._asdict()
         else:
             report["bound"] = {"applicable": False, "a": fit.a, "b": fit.b}
     report["config"] = {
@@ -138,5 +136,8 @@ def report_text(report: dict, show_bits: bool = False) -> str:
 
 def report_schema() -> dict:
     """The JSON schema that analyze reports validate against."""
+    # imported here: on Python 3.12+ importlib.resources imports inspect
+    from importlib import resources
+
     text = resources.files("zipfent").joinpath("schemas/analysis_report.schema.json").read_text()
     return json.loads(text)

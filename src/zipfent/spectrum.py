@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .errors import EmptyCorpusError
 
 if TYPE_CHECKING:
@@ -19,8 +19,7 @@ if TYPE_CHECKING:
 _CSV_BLOCK_ROWS = 1 << 16
 
 
-@dataclass(frozen=True)
-class FreqSpectrum:
+class FreqSpectrum(Record):
     """Map k -> F(k) over the frequencies that actually occur.
 
     Frequencies with F(k) = 0 are never stored, which keeps log F(k)

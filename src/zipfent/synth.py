@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import astuple, dataclass
 
+from ._record import Record
 from .bound import chain_diagnostics, entropy_upper_bound
 # bench/tracer.py wraps these names on this module.  Nothing here calls them
 # (sweep works from power sums), so their spans stay empty.
@@ -48,8 +48,7 @@ _FLOAT_MAX = math.nextafter(math.inf, 0.0)
 SWEEP_CSV_HEADER = "a,b,N,M,entropy_nats,bound_nats,margin_nats,sandwich_lo,sandwich_hi,n_bound,ratio"
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(Record):
     """Parameters of a generated power-law spectrum F(k) = e^b k^-a.
 
     Generation is refused for a < 1 (outside the regime the entropy ceiling
@@ -202,8 +201,7 @@ def generate_corpus(spec: SyntheticSpec) -> Iterator[str]:
     return _corpus_blocks(_law(spec, n))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     """One grid cell of a ceiling-tightness sweep; numeric fields are None
     when the cell's generator parameters were rejected."""
 
@@ -405,5 +403,5 @@ def sweep_csv(rows: Iterable[SweepRow]) -> str:
     """Sweep table as CSV; errored cells keep a and b and leave the rest empty."""
     lines = [SWEEP_CSV_HEADER]
     # every field but the trailing error, in the header's order
-    lines.extend(",".join("" if v is None else str(v) for v in astuple(r)[:-1]) for r in rows)
+    lines.extend(",".join("" if v is None else str(v) for v in r._values()[:-1]) for r in rows)
     return "\n".join(lines) + "\n"

@@ -536,6 +536,48 @@ def test_a_command_with_stdout_closed_is_io_error(tmp_path, command):
     )
     assert (proc.returncode, proc.stderr) == (3, "zipfent: error: stdout is closed\n")
 
+
+def stdout_that_fails(target: str) -> int:
+    """A descriptor whose writes fail: /dev/full, or a pipe whose reader is gone."""
+    if target == "/dev/full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        return os.open("/dev/full", os.O_WRONLY)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+@pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
+@pytest.mark.parametrize("argv", [["analyze"], ["sweep", "--a", "1,2", "--b", "1,2,3"], ["gen", "--a", "1", "--b", "3"]])
+def test_a_buffered_stdout_that_fails_is_one_io_error_line(tmp_path, argv, target):
+    # without PYTHONUNBUFFERED the output waits in the buffer; the flush must
+    # fail inside main, not at exit, where the interpreter prints "Exception
+    # ignored" and exits 120
+    path = tmp_path / "in.txt"
+    path.write_text("a a b c", encoding="utf-8")
+    if argv == ["analyze"]:
+        argv = ["analyze", str(path)]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    fd = stdout_that_fails(target)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "zipfent", *argv], env=env, stdout=fd,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(fd)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("zipfent: error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["sweep", "--a", "1", "--b", "1,2"], ["gen", "--a", "1", "--b", "3"]])
+def test_out_on_a_full_device_is_io_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--out", "/dev/full")
+    assert (code, out) == (3, "")
+    assert err.startswith("zipfent: error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("a, b, k_cap", [(1.0, 0.0, None), (1.0, 5.0, None), (1.5, 6.0, 20), (2.0, 7.5, 3)])
 def test_gen_rounded_streams_the_token_list(tmp_path, capsys, a, b, k_cap):
     spec = SyntheticSpec(a=a, b=b, mode="rounded_integer", k_cap=k_cap)

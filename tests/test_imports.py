@@ -58,6 +58,38 @@ def test_analyze_does_not_load_synth(tmp_path, flags):
     assert "zipfent.synth" not in modules
 
 
+# Modules whose import costs a command more than its own work: dataclasses
+# imports inspect, ast, dis and tokenize
+HEAVY = ("dataclasses", "inspect")
+
+# main(argv), which ends in argparse's SystemExit(0) for --help
+RUN_OR_EXIT = """\
+from zipfent.cli import main
+try:
+    assert main({argv!r}) == 0
+except SystemExit as exc:
+    assert exc.code == 0
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--a", "1,1.5", "--b", "2,4"],
+    ["gen", "--a", "1", "--b", "3"],
+    ["analyze"],
+    ["analyze", "--per-file", "--format", "text"],
+    ["analyze", "--format", "csv"],
+    ["--help"],
+])
+def test_no_command_loads_dataclasses_or_inspect(tmp_path, argv):
+    path = tmp_path / "words.txt"
+    path.write_text("a a a b b c " * 3, encoding="utf-8")
+    if argv[0] == "analyze":
+        argv = [*argv, "--out", str(tmp_path / "out"), str(path)]
+    modules = fresh_modules(RUN_OR_EXIT.format(argv=argv))
+    assert "zipfent.cli" in modules
+    assert modules.isdisjoint(HEAVY), sorted(modules.intersection(HEAVY))
+
+
 def test_importing_the_package_loads_no_submodule():
     modules = fresh_modules("import zipfent")
     assert not {m for m in modules if m.startswith("zipfent.")}
