@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain, repeat
-from typing import TYPE_CHECKING
 
 from ._record import Record
 from .errors import BoundNotApplicableError, EmptyCorpusError
 from .spectrum import FreqSpectrum
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .corpus import FrequencyTable
 

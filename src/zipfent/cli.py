@@ -15,11 +15,14 @@ import argparse
 import functools
 import os
 import sys
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import EmptyCorpusError
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
+    from typing import BinaryIO
+
     from .corpus import TokenizerConfig
 
 EXIT_OK = 0

@@ -35,15 +35,17 @@ import os
 import re
 import stat
 import sys
-import threading
 from collections import Counter
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, compress, filterfalse, islice, repeat
 from operator import add, not_
-from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 from ._record import Record
 from .spectrum import FreqSpectrum, _from_histogram
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from typing import Any, BinaryIO
 
 TOKEN_RULES = ("unicode_words", "whitespace")
 
@@ -69,7 +71,8 @@ _FOLD_SPLITS = (
     "\u1fc6\u1fc7\u1fd2\u1fd3\u1fd6\u1fd7\u1fe2-\u1fe4\u1fe6\u1fe7\u1ff6\u1ff7]"
 )
 
-# Bytes read per chunk by count_stream.
+# Bytes read per chunk by count_stream, and searched for a cut past an even
+# share of a file by _byte_ranges.
 CHUNK_SIZE = 1 << 17
 
 # count_stream counts a regular file with at least this many bytes left in
@@ -82,10 +85,6 @@ MAX_WORKERS = 8
 # True while a _fork_map runs in this process, from before its first fork to
 # its end, and so in its children, so that nothing forks inside one.
 _in_fork_map = False
-
-# Ranges are cut at these bytes, searched for this far past an even share.
-_CUT_RE = re.compile(rb"[ \n]")
-_CUT_SEARCH_BYTES = 1 << 16
 
 # Byte tokens converted to words at a time by _words_of_tokens, and words
 # in each batch of a _RangeTable that a forked child sends.
@@ -188,27 +187,25 @@ def _add(counts: dict[Any, int], keys: Iterable[Any], ns: Iterable[int]) -> None
     dict.update(counts, zip(keys, map(add, map(counts.get, keys, repeat(0)), ns)))
 
 
-def read_text(path: str | Path) -> str:
+def read_text(path: str | os.PathLike) -> str:
     """Read a UTF-8 text file; invalid byte sequences are replaced, not fatal."""
     with open(path, encoding="utf-8", errors="replace") as f:
         return f.read()
 
 
-def count_stream(
-    files: Iterable[BinaryIO], config: TokenizerConfig = DEFAULT_CONFIG, chunk_size: int | None = None
-) -> FrequencyTable:
+def count_stream(files: Iterable[BinaryIO], config: TokenizerConfig = DEFAULT_CONFIG) -> FrequencyTable:
     """Count the words of binary UTF-8 files, read in order, pooled into one table.
 
     Equal to merging ``count_frequencies(tokenize(text, config))`` over the
-    decoded text of each file, but read ``chunk_size`` bytes at a time
-    (``CHUNK_SIZE`` when None) and counted up to the last ASCII separator
-    byte read (``_pieces``); invalid bytes decode to U+FFFD exactly as a
-    one-shot decode would.  Memory grows with the vocabulary and the longest
-    run without an ASCII separator, not with the input.
+    decoded text of each file, but read ``CHUNK_SIZE`` bytes at a time and
+    counted up to the last ASCII separator byte read (``_pieces``); invalid
+    bytes decode to U+FFFD exactly as a one-shot decode would.  Memory grows
+    with the vocabulary and the longest run without an ASCII separator, not
+    with the input.
 
     A regular file opened with ``open`` (not a decompressing reader) with at
-    least ``PARALLEL_MIN_BYTES`` left to read is cut into byte ranges at space
-    or newline bytes, one per process of ``_map`` (``_parallel_ranges``), or
+    least ``PARALLEL_MIN_BYTES`` left to read is cut into byte ranges at ASCII
+    whitespace bytes, one per process of ``_map`` (``_parallel_ranges``), or
     taken as one range where that is one process.  This process counts the
     first range itself and forked children count the others; the table is
     the same, and each process holds a partial vocabulary of its own.  The
@@ -226,7 +223,7 @@ def count_stream(
     converts that table once for all the files.  Each table drops its short
     words where it is made (``_drop_short``).  Each file is left at its end.
     """
-    counts, held = _pool(files, config, chunk_size)
+    counts, held = _pool(files, config)
     _add_batches(counts, held)
     return FrequencyTable._of_counted(counts)
 
@@ -238,7 +235,7 @@ def _count_spectrum(files: Iterable[BinaryIO], config: TokenizerConfig) -> FreqS
     counts, not added to the pooled table: each of its words takes its
     count out of the table, so no table grows for that share.
     """
-    counts, held = _pool(files, config, None)
+    counts, held = _pool(files, config)
     hist: Counter[int] = Counter()
     while held:
         words, ns = held.pop()
@@ -247,9 +244,7 @@ def _count_spectrum(files: Iterable[BinaryIO], config: TokenizerConfig) -> FreqS
     return _from_histogram(hist) if hist else None
 
 
-def _pool(
-    files: Iterable[BinaryIO], config: TokenizerConfig, chunk_size: int | None
-) -> tuple[Counter[str], list[tuple[str, list[int]]]]:
+def _pool(files: Iterable[BinaryIO], config: TokenizerConfig) -> tuple[Counter[str], list[tuple[str, list[int]]]]:
     """The pooled words of ``count_stream``, but for the last forked child's.
 
     Each child's table arrives as batches (``_RangeTable``), which are held
@@ -257,8 +252,6 @@ def _pool(
     returned as they are, for the caller to take up.  The table of the
     files not cut into ranges drops its short words before it is pooled.
     """
-    if chunk_size is None:
-        chunk_size = CHUNK_SIZE
     counts: Counter[str] = Counter()  # the words of the files cut into byte ranges
     held: list[tuple[str, list[int]]] = []  # the batches of the last child's table
     local: Counter[str] = Counter()  # the tokens of the other files
@@ -266,9 +259,9 @@ def _pool(
     for f in files:
         ranges = _parallel_ranges(f)
         if not ranges:
-            _count_into(local, tokens, f.read, config, chunk_size)
+            _count_into(local, tokens, iter(lambda: f.read(CHUNK_SIZE), b""), config)
             continue
-        jobs = [(f.fileno(), start, end, config, chunk_size) for start, end in ranges]
+        jobs = [(f.fileno(), start, end, config) for start, end in ranges]
         # each partial table is added and then dropped
         for table in _map(_count_range, jobs):
             if not isinstance(table, _RangeTable):  # a child's, in batches
@@ -309,10 +302,9 @@ def _drop_short(counts: Counter[str], config: TokenizerConfig) -> None:
 
 
 def _count_into(
-    counts: Counter[str], tokens: Counter[bytes], read: Callable[[int], bytes], config: TokenizerConfig,
-    chunk_size: int,
+    counts: Counter[str], tokens: Counter[bytes], chunks: Iterable[bytes], config: TokenizerConfig
 ) -> None:
-    """Add to counts or tokens the tokens of one file, read with read(chunk_size) until it returns b"".
+    """Add to counts or tokens the tokens of one file, read as chunks of bytes.
 
     Each piece of ``_pieces`` is decoded once, case-folded as a whole when
     lowercasing, split at whitespace and counted in counts.  A piece that
@@ -324,7 +316,7 @@ def _count_into(
     (``_drop_short``), once per table.
     """
     splits = config.token_rule == "unicode_words" and config.lowercase
-    for piece in _pieces(read, config, chunk_size):
+    for piece in _pieces(chunks, config):
         text = str(piece, "utf-8", "replace")
         if splits and re.search(_FOLD_SPLITS, text):
             del text
@@ -338,8 +330,8 @@ def _count_into(
         counts.update(text.split())
 
 
-def _pieces(read: Callable[[int], bytes], config: TokenizerConfig, chunk_size: int) -> Iterator[bytes]:
-    """The bytes of one file, read with read(chunk_size) until it returns b"", in pieces of whole tokens.
+def _pieces(chunks: Iterable[bytes], config: TokenizerConfig) -> Iterator[bytes]:
+    """The bytes of one file, read as chunks, in pieces of whole tokens.
 
     The ASCII bytes that separate tokens, the non-word ones under
     ``unicode_words`` and the whitespace under ``whitespace``, are made
@@ -352,8 +344,8 @@ def _pieces(read: Callable[[int], bytes], config: TokenizerConfig, chunk_size: i
     if config.lowercase:
         table = table.translate(_ASCII_LOWER)
     pending: list[bytes] = []  # the bytes read after the last space byte
-    while True:
-        raw = read(chunk_size).translate(table)
+    for raw in chain(chunks, [b""]):  # an empty chunk ends the file
+        raw = raw.translate(table)
         cut = raw.rfind(b" ") + 1
         if raw and not cut:
             pending.append(raw)
@@ -409,9 +401,10 @@ def _can_fork() -> bool:
     worker, which may not start processes, or a fork map already runs in
     this process.
     """
-    if _in_fork_map or not hasattr(os, "fork") or threading.active_count() > 1:
+    # neither module is imported just to ask: where it is not loaded, it started nothing
+    threading, mp = sys.modules.get("threading"), sys.modules.get("multiprocessing")
+    if _in_fork_map or not hasattr(os, "fork") or threading and threading.active_count() > 1:
         return False
-    mp = sys.modules.get("multiprocessing")  # not imported just to ask
     return mp is None or not mp.current_process().daemon
 
 
@@ -426,44 +419,37 @@ def _cpu_count() -> int:
 def _byte_ranges(fd: int, start: int, end: int, parts: int) -> list[tuple[int, int]]:
     """Cut bytes [start, end) of the file fd into at most ``parts`` consecutive ranges.
 
-    Each cut moves forward from an even share of the bytes to the next space
-    or newline byte.  That byte is never inside a UTF-8 sequence and ends a
-    word under both token rules, so the counts of the ranges sum to the
-    count of the whole.  A cut with no such byte in the ``_CUT_SEARCH_BYTES``
-    after it is dropped.
+    Each cut moves forward from an even share of the bytes to the next ASCII
+    whitespace byte, one that ``_ASCII_WHITESPACE`` maps to a space.  That
+    byte is never inside a UTF-8 sequence and ends a token under both token
+    rules, so the counts of the ranges sum to the count of the whole.  A cut
+    with no such byte in the ``CHUNK_SIZE`` bytes after it is dropped.
     """
     cuts = [start]
     for i in range(1, parts):
         at = max(start + (end - start) * i // parts, cuts[-1] + 1)
         if at >= end:
             break
-        found = _CUT_RE.search(os.pread(fd, min(_CUT_SEARCH_BYTES, end - at), at))
-        if found:
-            cuts.append(at + found.start())
+        found = os.pread(fd, min(CHUNK_SIZE, end - at), at).translate(_ASCII_WHITESPACE).find(b" ")
+        if found >= 0:
+            cuts.append(at + found)
     cuts.append(end)
     return list(zip(cuts, cuts[1:]))
 
 
-def _count_range(job: tuple[int, int, int, TokenizerConfig, int]) -> _RangeTable:
+def _count_range(job: tuple[int, int, int, TokenizerConfig]) -> _RangeTable:
     """Worker: the table of the words in bytes [start, end) of the file fd.
 
     Counts the byte tokens of each of ``_pieces`` and then converts each
     distinct token once (``_words_of_tokens``), so that decoding, folding
     and splitting cost per distinct token, not per token.  A range ends
-    before a space or newline byte, so its tokens decode as they do in the
+    before an ASCII whitespace byte, so its tokens decode as they do in the
     whole file.  Its short words are dropped here, so no child pickles one.
     """
-    fd, start, end, config, chunk_size = job
-    pos = start
-
-    def read(n: int) -> bytes:
-        nonlocal pos
-        raw = os.pread(fd, min(n, end - pos), pos)
-        pos += len(raw)
-        return raw
-
+    fd, start, end, config = job
+    chunks = (os.pread(fd, min(CHUNK_SIZE, end - pos), pos) for pos in range(start, end, CHUNK_SIZE))
     # no name holds the last piece, which may be one long token
-    tokens = Counter(chain.from_iterable(map(bytes.split, _pieces(read, config, chunk_size))))
+    tokens = Counter(chain.from_iterable(map(bytes.split, _pieces(chunks, config))))
     counts = _words_of_tokens(tokens, config)
     _drop_short(counts, config)
     return _RangeTable(counts)

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING
 
 from .bound import _entropy_of_counts, chain_check, entropy, entropy_upper_bound  # noqa: F401
 from .errors import InsufficientPointsError
 from .fit import fit_loglog
 from .spectrum import FreqSpectrum, freq_of_freq  # noqa: F401
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .corpus import TokenizerConfig
 

@@ -6,13 +6,15 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import islice
-from typing import TYPE_CHECKING
 
 from ._record import Record
 from .errors import EmptyCorpusError
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .corpus import FrequencyTable
+
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)  # no F(k) or token total may be larger
 
 # _csv_blocks writes at most this many rows per block, so a large spectrum
 # never builds one huge string.
@@ -39,8 +41,9 @@ class FreqSpectrum(Record):
         for k, f in points.items():
             if not isinstance(k, int) or k < 1:
                 raise ValueError(f"frequency k must be a positive integer, got {k!r}")
-            if not (isinstance(f, (int, float)) and math.isfinite(f) and f > 0):
-                raise ValueError(f"F({k}) must be a positive finite number, got {f!r}")
+            # compared, not converted: an int past the float range is refused, not an OverflowError
+            if not (isinstance(f, (int, float)) and 0 < f <= _FLOAT_MAX):
+                raise ValueError(f"F({k}) must be a positive finite float, got {f!r}")
         ordered = dict(sorted(points.items()))
         integer = all(isinstance(f, int) for f in ordered.values())
         total = _exact_sum((k * f for k, f in ordered.items()), integer)
@@ -52,8 +55,15 @@ class FreqSpectrum(Record):
 
 def _exact_sum(terms: Iterable[float], integer: bool) -> float:
     """Sum with no rounding error: int arithmetic when every term is an int
-    (word counts can pass 2^53), else the correctly rounded ``math.fsum``."""
-    return sum(terms) if integer else math.fsum(terms)
+    (word counts can pass 2^53), else the correctly rounded ``math.fsum``.
+    A total past the float range is a ValueError: the entropy and chain take N as a float."""
+    try:
+        total = sum(terms) if integer else math.fsum(terms)
+    except OverflowError:  # fsum's, where finite terms sum past the float range
+        total = math.inf
+    if not total <= _FLOAT_MAX:
+        raise ValueError("token total overflows a float")
+    return total
 
 
 def freq_of_freq(table: FrequencyTable) -> FreqSpectrum:

@@ -17,7 +17,7 @@ from .bound import chain_diagnostics, entropy_upper_bound
 # bench/tracer.py wraps these names on this module.  Nothing here calls them
 # (sweep works from power sums), so their spans stay empty.
 from .bound import chain_check, entropy_from_spectrum  # noqa: F401
-from .spectrum import FreqSpectrum, _csv_blocks, _exact_sum
+from .spectrum import _FLOAT_MAX, FreqSpectrum, _csv_blocks, _exact_sum
 
 MODES = ("exact_real", "rounded_integer")
 
@@ -42,8 +42,6 @@ _EM_COEFFS = tuple(
     bern / math.factorial(2 * j)
     for j, bern in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730), 1)
 )
-
-_FLOAT_MAX = math.nextafter(math.inf, 0.0)
 
 SWEEP_CSV_HEADER = "a,b,N,M,entropy_nats,bound_nats,margin_nats,sandwich_lo,sandwich_hi,n_bound,ratio"
 
@@ -136,10 +134,7 @@ def generate_spectrum(spec: SyntheticSpec) -> FreqSpectrum:
     n = _law_points(spec)
     # valid and sorted by construction, so FreqSpectrum.from_points is skipped
     points = dict(_law(spec, n))
-    try:
-        total = _exact_sum((k * f for k, f in points.items()), spec.mode == "rounded_integer")
-    except OverflowError:  # fsum's, where finite points sum past the float range
-        raise ValueError(f"token total overflows a float for a={spec.a}, b={spec.b}") from None
+    total = _exact_sum((k * f for k, f in points.items()), spec.mode == "rounded_integer")
     return FreqSpectrum(points=points, total_tokens=total, max_k=n)
 
 

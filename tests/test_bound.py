@@ -6,7 +6,7 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from conftest import random_tokens
@@ -238,7 +238,10 @@ _spectra = st.one_of(
 
 @given(_spectra, st.floats(1.0, 50.0), st.floats(0.0, 300.0))
 def test_chain_sandwich_equals_termwise_min_bit_for_bit(points, a, b):
-    spec = FreqSpectrum.from_points(points)
+    try:
+        spec = FreqSpectrum.from_points(points)
+    except ValueError:  # a token total past the float range
+        reject()
     chain = chain_check(spec, a, b)
     lower, upper = _old_sandwich_slacks(spec, a, b)
     assert chain.sandwich_lower.slack.hex() == lower.hex()

@@ -712,3 +712,104 @@ def test_analyze_ends_with_an_exit_code_never_an_exception(analyze_inputs, optio
         # one line per error: a fit error per file where --per-file reports each
         assert all(line.startswith("zipfent: ") for line in lines)
         assert 1 <= len(lines) <= (len(inputs) if code == 2 and "--per-file" in flags else 1)
+
+
+# Hostile option values: non-finite and signed zeros, the extremes of the
+# float range, a subnormal, an int past 64 bits, negatives, and non-numbers.
+# With the small values beside them, every accepted gen or sweep call writes
+# a few rows: a larger intercept is refused, or a large slope leaves k = 1
+_HOSTILE = ["nan", "inf", "-inf", "0", "-0", "-0.0", "1e308", "-1e308", "5e-324", "2.2e-308", str(2**63),
+            str(-2**63), "-1", "-2.5", "", "x"]
+_SMALL = ["1", "1.5", "2", "3"]
+_HOSTILE_VALUES = st.sampled_from(_SMALL + _HOSTILE)
+_GRIDS = st.lists(_HOSTILE_VALUES, max_size=3).map(",".join)  # the empty list is an empty grid
+
+
+def _analyze_argv(draw, root) -> tuple[list[str], int]:
+    """argv of an analyze run over hostile inputs, and the most reports it makes."""
+    argv = ["analyze"]
+    for name in draw(st.lists(st.sampled_from(["--fit-kmin", "--fit-kmax", "--min-token-len"]), unique=True)):
+        argv.append(f"{name}={draw(_HOSTILE_VALUES)}")
+    argv += draw(st.lists(st.sampled_from(["--per-file", "--no-lowercase", "--bits"]), unique=True))
+    argv += draw(st.lists(st.sampled_from(["--format=json", "--format=csv", "--format=text", "--token-rule=whitespace",
+                                           "--token-rule=unicode_words"]), max_size=2))
+    inputs = draw(st.lists(st.sampled_from(["text.txt", "empty.txt", "invalid.txt", "word.txt", "dir", "missing.txt"]),
+                           max_size=3))
+    argv += [str(root / name) for name in inputs]
+    return argv, max(len(inputs), 1) if "--per-file" in argv else 1
+
+
+# How the run's output fails, if it does
+_STDOUTS = ["pipe", "closed", "broken pipe"] + (["/dev/full", "--out /dev/full"] if os.path.exists("/dev/full") else [])
+
+
+@st.composite
+def _hostile_runs(draw, root):
+    """(argv, stdin bytes or None for a closed stdin, stdout kind, the most cells, the most reports)."""
+    command = draw(st.sampled_from(["analyze", "gen", "sweep"]))
+    cells = reports = 0
+    if command == "analyze":
+        argv, reports = _analyze_argv(draw, root)
+    elif command == "gen":
+        argv = ["gen", f"--a={draw(_HOSTILE_VALUES)}", f"--b={draw(_HOSTILE_VALUES)}"]
+    else:
+        a, b = draw(_GRIDS), draw(_GRIDS)
+        argv = ["sweep", f"--a={a}", f"--b={b}"]
+        cells = len(a.split(",")) * len(b.split(","))
+    if command != "analyze":
+        argv += draw(st.lists(st.sampled_from(["--mode=exact", "--mode=rounded"]), max_size=1))
+        argv += draw(st.lists(_HOSTILE_VALUES.map("--k-cap={}".format), max_size=1))
+    stdout = draw(st.sampled_from(_STDOUTS))
+    if stdout == "--out /dev/full":
+        argv.append("--out=/dev/full")
+    stdin = draw(st.sampled_from(["text.txt", "empty.txt", "invalid.txt", None]))
+    return argv, None if stdin is None else (root / stdin).read_bytes(), stdout, cells, reports
+
+
+def _run_module(argv: list[str], stdin: bytes | None, stdout: str) -> subprocess.CompletedProcess:
+    """python -m zipfent argv in a new process, its stdin closed or fed, its stdout as named."""
+    # buffered, so that a failing stdout fails at the flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    closed = ([0] if stdin is None else []) + ([1] if stdout == "closed" else [])
+    fd = None
+    if stdout in ("/dev/full", "broken pipe"):
+        fd = stdout_that_fails(stdout)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "zipfent", *argv], input=stdin, env=env,
+            stdout=fd if fd is not None else subprocess.DEVNULL if stdout == "closed" else subprocess.PIPE,
+            stderr=subprocess.PIPE, timeout=60, preexec_fn=lambda: [os.close(n) for n in closed],
+        )
+    finally:
+        if fd is not None:
+            os.close(fd)
+
+
+# a third of the profile's examples: each one starts an interpreter
+@settings(deadline=None, max_examples=max(settings().max_examples // 3, 1))
+@given(data=st.data())
+def test_every_run_of_the_module_ends_with_an_exit_code_and_one_line_per_error(analyze_inputs, data):
+    argv, stdin, stdout, cells, reports = data.draw(_hostile_runs(analyze_inputs))
+    proc = _run_module(argv, stdin, stdout)
+    err = proc.stderr.decode("utf-8")
+    assert proc.returncode in (0, 1, 2, 3), err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    lines = err.splitlines()
+    if proc.returncode == 1 and lines and lines[0].startswith("usage: "):
+        # argparse's usage, which may wrap, then one error line
+        assert lines[-1].startswith(f"zipfent {argv[0]}: error: ")
+        assert sum(": error: " in line for line in lines) == 1
+        return
+    assert all(line.startswith("zipfent: ") for line in lines), err
+    errors = [line for line in lines if line.startswith("zipfent: error: ")]
+    cell_lines = [line for line in lines if line.startswith("zipfent: sweep cell ")]
+    fit_lines = len(lines) - len(errors) - len(cell_lines)
+    # one line per refused sweep cell, and per report whose fit fails
+    assert len(cell_lines) <= cells and fit_lines <= reports, err
+    if proc.returncode == 0:
+        assert errors == [] and fit_lines == 0, err
+    elif proc.returncode == 2 and not errors:
+        assert argv[0] == "analyze" and fit_lines >= 1, err
+    else:
+        # one error line, the last: what ended the run
+        assert errors == lines[-1:], err

@@ -180,7 +180,8 @@ def _one_shot(data: bytes, config: TokenizerConfig) -> dict[str, int]:
 def test_count_stream_equals_one_shot_count_at_every_chunk_size(data, config):
     expected = _one_shot(data, config)
     for chunk_size in range(1, len(data) + 2):
-        assert count_stream([io.BytesIO(data)], config, chunk_size).counts == expected
+        with mock.patch.object(corpus, "CHUNK_SIZE", chunk_size):
+            assert count_stream([io.BytesIO(data)], config).counts == expected
 
 
 @given(st.lists(_stream_bytes, min_size=1, max_size=4), _configs)
@@ -190,12 +191,14 @@ def test_count_stream_pools_files_like_their_newline_joined_concatenation(parts,
     expected = _one_shot(b"\n".join(parts), config)
     for chunk_size in range(1, max(map(len, parts)) + 2):
         files = [io.BytesIO(p) for p in parts]
-        assert count_stream(files, config, chunk_size).counts == expected
+        with mock.patch.object(corpus, "CHUNK_SIZE", chunk_size):
+            assert count_stream(files, config).counts == expected
 
 
-def test_count_stream_hand_count_across_chunk_edges():
+def test_count_stream_hand_count_across_chunk_edges(monkeypatch):
     data = "Stra\u00dfe STRASSE caf\u00e9\u0301 x".encode("utf-8")
-    table = count_stream([io.BytesIO(data)], TokenizerConfig(), chunk_size=3)
+    monkeypatch.setattr(corpus, "CHUNK_SIZE", 3)
+    table = count_stream([io.BytesIO(data)], TokenizerConfig())
     assert table.counts == {"strasse": 2, "café": 1, "x": 1}
     assert count_stream([], TokenizerConfig()).is_empty()
 
@@ -211,26 +214,28 @@ def test_count_stream_hand_count_across_chunk_edges():
     "\u0130x a a a a a i\u0307x q",
 ])
 @pytest.mark.parametrize("token_rule", TOKEN_RULES)
-def test_count_stream_folds_words_that_cross_into_or_out_of_an_unfolded_chunk(text, token_rule):
+def test_count_stream_folds_words_that_cross_into_or_out_of_an_unfolded_chunk(monkeypatch, text, token_rule):
     data = text.encode("utf-8")
     config = TokenizerConfig(token_rule=token_rule)
     expected = _one_shot(data, config)
     assert len(expected) > 1
     for chunk_size in range(1, len(data) + 2):
-        assert count_stream([io.BytesIO(data)], config, chunk_size).counts == expected
+        monkeypatch.setattr(corpus, "CHUNK_SIZE", chunk_size)
+        assert count_stream([io.BytesIO(data)], config).counts == expected
 
 
 @pytest.mark.parametrize(
     "data", [b"x" * (1 << 21), "\u5317".encode("utf-8") * 700_000], ids=["ascii", "three_byte"]
 )
 @pytest.mark.parametrize("token_rule", TOKEN_RULES)
-def test_count_stream_counts_a_long_token_in_linear_time(data, token_rule):
+def test_count_stream_counts_a_long_token_in_linear_time(monkeypatch, data, token_rule):
     # one token of 2 MiB read in 64-byte chunks, which cut the three-byte
     # sequences of U+5317; re-joining and re-folding the token with every
     # chunk would take seconds
     config = TokenizerConfig(token_rule=token_rule)
+    monkeypatch.setattr(corpus, "CHUNK_SIZE", 64)
     start = time.perf_counter()
-    table = count_stream([io.BytesIO(data)], config, 64)
+    table = count_stream([io.BytesIO(data)], config)
     assert time.perf_counter() - start < 2
     assert table.counts == _one_shot(data, config)
 
@@ -274,9 +279,12 @@ def test_add_equals_a_per_key_loop_where_keys_repeat(start, pairs):
     assert counts == expected
 
 
-# the fragments above with many space and newline bytes, where ranges are cut
+# The 10 ASCII whitespace bytes, where ranges are cut
+_ASCII_WHITESPACE = bytes(b for b in range(0x80) if chr(b).isspace())
+
+# the fragments above with many ASCII whitespace bytes
 _cuttable_bytes = st.lists(
-    st.one_of(_stream_bytes, st.sampled_from([b" ", b"\n"])), max_size=8
+    st.one_of(_stream_bytes, st.sampled_from([bytes([b]) for b in _ASCII_WHITESPACE])), max_size=8
 ).map(b"".join)
 
 
@@ -296,14 +304,16 @@ def test_byte_ranges_count_to_the_count_of_the_whole_file(prefix, data, config, 
         fd = f.fileno()
         ranges = corpus._byte_ranges(fd, start, end, parts)
         total: Counter[str] = Counter()
-        for lo, hi in ranges:
-            # a forked child pickles the table as batches of words joined by spaces
-            for words, ns in pickle.loads(pickle.dumps(corpus._count_range((fd, lo, hi, config, chunk_size)))):
-                total.update(dict(zip(words.split(" "), ns, strict=True)))
+        # the cuts are searched for in CHUNK_SIZE bytes, so only the count reads smaller chunks
+        with mock.patch.object(corpus, "CHUNK_SIZE", chunk_size):
+            for lo, hi in ranges:
+                # a forked child pickles the table as batches of words joined by spaces
+                for words, ns in pickle.loads(pickle.dumps(corpus._count_range((fd, lo, hi, config)))):
+                    total.update(dict(zip(words.split(" "), ns, strict=True)))
     assert 1 <= len(ranges) <= parts
     assert ranges[0][0] == start and ranges[-1][1] == end
     for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
-        assert hi == lo and data[lo - start] in b" \n"
+        assert hi == lo and data[lo - start] in _ASCII_WHITESPACE
     n = config.min_token_length
     whole = count_stream([io.BytesIO(data)], config).counts
     assert {w: c for w, c in total.items() if len(w) >= n} == whole == _one_shot(data, config)
@@ -322,13 +332,13 @@ def test_count_range_adds_a_token_that_folds_onto_an_ascii_word_to_its_count(tok
     with tempfile.TemporaryFile() as f:
         f.write(data)
         f.flush()
-        table = corpus._count_range((f.fileno(), 0, len(data), config, corpus.CHUNK_SIZE))
+        table = corpus._count_range((f.fileno(), 0, len(data), config))
     assert table.counts == expected
 
 
-def test_byte_ranges_of_a_file_without_a_space_or_newline_is_one_range(tmp_path, monkeypatch):
-    # tabs and other whitespace end words too, but are not cut at
-    data = "w\u00f6rd\tn\u00e4chstes\u00a0Wort\r".encode("utf-8") * 4000
+def test_byte_ranges_of_a_file_without_ascii_whitespace_is_one_range(tmp_path, monkeypatch):
+    # ASCII punctuation and non-ASCII whitespace end words too, but are not cut at
+    data = "w\u00f6rd,n\u00e4chstes\u00a0Wort\u3000".encode("utf-8") * 4000
     path = tmp_path / "no_cut.txt"
     path.write_bytes(data)
     with open(path, "rb") as f:
@@ -340,12 +350,30 @@ def test_byte_ranges_of_a_file_without_a_space_or_newline_is_one_range(tmp_path,
         assert count_stream([f]).counts == {"wörd": 4000, "nächstes": 4000, "wort": 4000}
 
 
-@pytest.mark.parametrize("offset, cut", [(0, True), (corpus._CUT_SEARCH_BYTES - 1, True),
-                                         (corpus._CUT_SEARCH_BYTES, False)])
-def test_a_cut_is_dropped_without_a_space_or_newline_in_the_search_window(tmp_path, offset, cut):
-    size = 4 * corpus._CUT_SEARCH_BYTES
+@pytest.mark.parametrize("lowercase", [True, False])
+@pytest.mark.parametrize("token_rule", TOKEN_RULES)
+def test_a_file_separated_only_by_tabs_and_crs_is_cut_into_ranges(tmp_path, monkeypatch, token_rule, lowercase):
+    rng = random.Random(5)
+    vocab = ["caf\u00e9", "Stra\u00dfe", "na\u00efve", "\U0001d518x", "to", "a", "x_1", "\u00abb\u00bb", "c\u2014d"]
+    data = "".join(rng.choice(vocab) + rng.choice(["\t", "\r"]) for _ in range(4000)).encode("utf-8")
+    assert b" " not in data and b"\n" not in data
+    path = tmp_path / "tabs.txt"
+    path.write_bytes(data)
+    _split_in_three(monkeypatch)
+    config = TokenizerConfig(lowercase=lowercase, token_rule=token_rule)
+    with open(path, "rb") as f:
+        ranges = corpus._parallel_ranges(f)
+        table = count_stream([f], config)
+    assert len(ranges) == 3
+    assert all(data[lo] in b"\t\r" for lo, _ in ranges[1:])
+    assert table.counts == _one_shot(data, config)
+
+
+@pytest.mark.parametrize("offset, cut", [(0, True), (corpus.CHUNK_SIZE - 1, True), (corpus.CHUNK_SIZE, False)])
+def test_a_cut_is_dropped_without_ascii_whitespace_in_the_search_window(tmp_path, offset, cut):
+    size = 4 * corpus.CHUNK_SIZE
     data = bytearray(b"x" * size)
-    data[size // 2 + offset] = ord("\n")
+    data[size // 2 + offset] = ord("\t")
     path = tmp_path / "long_word.txt"
     path.write_bytes(data)
     with open(path, "rb") as f:
@@ -398,7 +426,8 @@ def test_pooled_ranges_and_stream_pieces_count_to_the_tokens_of_their_join(tmp_p
     monkeypatch.setattr(corpus, "_cpu_count", lambda: cpus)
     with open(path, "rb") as f:
         assert len(corpus._parallel_ranges(f)) == cpus
-        table = count_stream([f, io.BytesIO(stream)], config, 64)
+        monkeypatch.setattr(corpus, "CHUNK_SIZE", 64)
+        table = count_stream([f, io.BytesIO(stream)], config)
     assert table.counts == _one_shot(big + b"\n" + stream, config)
 
 
@@ -421,10 +450,11 @@ def test_a_childs_table_crosses_the_pipe_in_batches(tmp_path, monkeypatch, lower
         ranges = corpus._parallel_ranges(f)
         (_, lo), (_, hi), (_, end) = ranges
         assert not re.search(r"\w", data[lo:hi].decode("utf-8"))
-        batches = pickle.loads(pickle.dumps(corpus._count_range((f.fileno(), hi, end, config, 64))))
+        monkeypatch.setattr(corpus, "CHUNK_SIZE", 64)
+        batches = pickle.loads(pickle.dumps(corpus._count_range((f.fileno(), hi, end, config))))
         assert len(batches) > 1
         assert min(len(word) for words, _ in batches for word in words.split(" ")) >= min_token_length
-        table = count_stream([f], config, 64)
+        table = count_stream([f], config)
     assert table.counts == _one_shot(data, config)
 
 

@@ -2,6 +2,7 @@
 imported from their submodules on first access."""
 
 import ast
+import os
 import subprocess
 import sys
 
@@ -24,10 +25,10 @@ PUBLIC = {
 ANALYZE_ONLY = ("zipfent.corpus", "zipfent.report", "zipfent.fit", "json", "statistics")
 
 
-def fresh_modules(code: str) -> set[str]:
-    """The names in sys.modules after code runs in a new interpreter."""
+def fresh_modules(code: str, *flags: str) -> set[str]:
+    """The names in sys.modules after code runs in a new interpreter started with flags."""
     done = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys\nprint(sorted(sys.modules), file=sys.stderr)"],
+        [sys.executable, *flags, "-c", code + "\nimport sys\nprint(sorted(sys.modules), file=sys.stderr)"],
         capture_output=True, text=True, check=True,
     )
     return set(ast.literal_eval(done.stderr.splitlines()[-1]))
@@ -72,22 +73,44 @@ except SystemExit as exc:
 """
 
 
-@pytest.mark.parametrize("argv", [
+COMMANDS = [
     ["sweep", "--a", "1,1.5", "--b", "2,4"],
     ["gen", "--a", "1", "--b", "3"],
     ["analyze"],
     ["analyze", "--per-file", "--format", "text"],
     ["analyze", "--format", "csv"],
     ["--help"],
-])
-def test_no_command_loads_dataclasses_or_inspect(tmp_path, argv):
+]
+
+
+def _command_code(tmp_path, argv: list[str]) -> str:
     path = tmp_path / "words.txt"
     path.write_text("a a a b b c " * 3, encoding="utf-8")
     if argv[0] == "analyze":
         argv = [*argv, "--out", str(tmp_path / "out"), str(path)]
-    modules = fresh_modules(RUN_OR_EXIT.format(argv=argv))
+    return RUN_OR_EXIT.format(argv=argv)
+
+
+@pytest.mark.parametrize("argv", COMMANDS)
+def test_no_command_loads_dataclasses_or_inspect(tmp_path, argv):
+    modules = fresh_modules(_command_code(tmp_path, argv))
     assert "zipfent.cli" in modules
     assert modules.isdisjoint(HEAVY), sorted(modules.intersection(HEAVY))
+
+
+# Modules no command needs: the annotations that name their types are never
+# evaluated, and _can_fork asks threading only where it is loaded already
+UNNEEDED = ("typing", "pathlib", "threading")
+
+
+@pytest.mark.parametrize("argv", COMMANDS)
+def test_no_command_loads_typing_pathlib_or_threading_without_site(tmp_path, monkeypatch, argv):
+    # -S skips site, which can import any of them through a .pth file; the
+    # package is then found on PYTHONPATH only
+    monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(zipfent.__file__)))
+    modules = fresh_modules(_command_code(tmp_path, argv), "-S")
+    assert "zipfent.cli" in modules and "site" not in modules
+    assert modules.isdisjoint(UNNEEDED), sorted(modules.intersection(UNNEEDED))
 
 
 def test_importing_the_package_loads_no_submodule():

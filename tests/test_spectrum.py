@@ -47,6 +47,17 @@ def test_from_points_validation():
         FreqSpectrum.from_points({2: float("nan")})
 
 
+@pytest.mark.parametrize("points", [
+    {1: 10**400},  # an F(k) past the float range
+    {2: 1e308},  # a finite F(k) whose k * F(k) is not
+    {36287216: 7.346603430671997e299, 954293521: 1.6044385879333452e299},  # finite terms whose fsum is not
+    {2: 10**308},  # an int total past the float range
+])
+def test_from_points_refuses_a_spectrum_whose_f_or_token_total_is_not_a_finite_float(points):
+    with pytest.raises(ValueError):
+        FreqSpectrum.from_points(points)
+
+
 def test_conservation_on_random_corpora():
     rng = random.Random(7)
     for _ in range(100):
