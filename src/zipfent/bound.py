@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain, repeat
 
 from ._record import Record
 from .errors import BoundNotApplicableError, EmptyCorpusError
@@ -45,22 +44,27 @@ def entropy(table: FrequencyTable) -> EntropyValue:
 def _entropy_of_counts(words_with: dict[int, int], n: int) -> EntropyValue:
     """The entropy of words_with[c] words with count c each, for every c, out of n tokens.
 
-    The term of each distinct count is computed once and fed to fsum once
-    per word with that count.  fsum rounds the exact sum of its inputs
-    once, so this is bit for bit the word-by-word sum, which a product
-    F(c) * term, rounded on its own, would not be.
+    The term of each distinct count is computed once, and its exact
+    multiples are summed as integers over the largest power-of-two
+    denominator of the terms.  The division rounds that exact sum once, as
+    fsum of the word-by-word terms does, so the two agree bit for bit; a
+    product F(c) * term, rounded on its own, would not.
     """
-    terms = (repeat(-(p := c / n) * math.log(p), f) for c, f in words_with.items())
-    return EntropyValue.from_nats(math.fsum(chain.from_iterable(terms)) + 0.0)
+    ratios = [(f, (-(p := c / n) * math.log(p)).as_integer_ratio()) for c, f in words_with.items()]
+    d = max((den for _, (_, den) in ratios), default=1)
+    return EntropyValue.from_nats(sum(f * num * (d // den) for f, (num, den) in ratios) / d + 0.0)
 
 
 def entropy_from_spectrum(spec: FreqSpectrum) -> EntropyValue:
     """Entropy regrouped by frequency: -sum_k F(k) (k/N) ln(k/N).
 
     Mathematically identical to summing word by word, since every word with
-    count k contributes the same term.  Accumulated ascending in k (smallest
-    probabilities first) with fsum.
+    count k contributes the same term.  An integer-valued spectrum is summed
+    as ``entropy`` sums a table, so the two agree bit for bit; a real-valued
+    one with fsum of F(k)-weighted terms, ascending in k.
     """
+    if spec.is_integer_valued():
+        return _entropy_of_counts(spec.points, spec.total_tokens)
     n = spec.total_tokens
     terms = (-f * (p := k / n) * math.log(p) for k, f in spec.points.items())
     return EntropyValue.from_nats(math.fsum(terms) + 0.0)

@@ -12,18 +12,11 @@ So a sweep never loads the corpus, fit or report code, nor ``json``.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from .errors import EmptyCorpusError
-
-TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
-if TYPE_CHECKING:
-    from typing import BinaryIO
-
-    from .corpus import TokenizerConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,21 +100,11 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
             raise
 
 
-def _open_inputs(paths: list[str]) -> Iterator[BinaryIO]:
-    """The binary files, opened one at a time; stdin when paths is empty."""
-    if not paths:
-        if sys.stdin is None:  # started with file descriptor 0 closed
-            raise OSError("stdin is closed")
-        yield sys.stdin.buffer
-        return
-    for p in paths:
-        with open(p, "rb") as f:
-            yield f
-
-
 def _cmd_analyze(args) -> int:
     from . import corpus
-    from .report import report_json_array
+    from .fit import _check_window
+    from .report import build_report, report_json, report_json_array, report_text
+    from .spectrum import spectrum_csv
 
     if args.per_file and args.format == "csv":
         raise ValueError("--per-file cannot be combined with --format csv")
@@ -130,20 +113,37 @@ def _cmd_analyze(args) -> int:
         min_token_length=args.min_token_len,
         token_rule=args.token_rule,
     )
-    # pooled is one group of every input, --per-file one group per input
-    groups = [[p] for p in args.paths] if args.per_file and args.paths else [args.paths]
-    report_group = functools.partial(
-        _report_group, config=config, fit_kmin=args.fit_kmin, fit_kmax=args.fit_kmax, fmt=args.format,
-        bits=args.bits,
-    )
-    reports, empty = [], []
-    # corpus._map spreads the groups over the CPUs; the messages wait until
-    # every input is read, so an I/O error on a later input takes precedence
-    for label, output, fit_error in corpus._map(report_group, groups):
-        if output is None:
-            empty.append(label)
+    _check_window(args.fit_kmin if args.fit_kmin is not None else 1, args.fit_kmax)
+    if not args.paths and sys.stdin is None:  # started with file descriptor 0 closed
+        raise OSError("stdin is closed")
+    # pooled is one group of every input, --per-file one group per input;
+    # stdin is one input, read as it is
+    inputs = args.paths or [sys.stdin.buffer]
+    groups = [[p] for p in inputs] if args.per_file else [inputs]
+
+    def report_group(g: int, counts, held) -> tuple[str, str | None, str | None]:
+        """(label, output, fit error) of group g, made in the process that counted its last share.
+
+        The output is the report rendered in the chosen format, or the
+        spectrum for csv; it is None when the group has no words.
+        """
+        spec = corpus._spectrum(counts, held)
+        labels = groups[g] if args.paths else ["-"]
+        if spec is None:
+            return labels[0], None, None
+        report = build_report(spec, config, labels, args.fit_kmin, args.fit_kmax)
+        if args.format == "json":
+            output = report_json(report)
+        elif args.format == "csv":
+            output = "".join(spectrum_csv(spec))
         else:
-            reports.append((label, output, fit_error))
+            output = report_text(report, args.bits)
+        return labels[0], output, report["fit"].get("error")
+
+    # the messages wait until every input is read, so an I/O error on a
+    # later input takes precedence
+    reports = corpus._count_groups(groups, config, report_group)
+    empty = [label for label, output, _ in reports if output is None]
     if empty:
         raise EmptyCorpusError(f"empty corpus: {empty[0]}" if args.per_file else "empty corpus")
 
@@ -162,34 +162,6 @@ def _cmd_analyze(args) -> int:
         chunks = ["\n".join(f"== {label} ==\n{output}" for label, output, _ in reports)]
     _emit(chunks, args.out)
     return status
-
-
-def _report_group(
-    paths: list[str], config: TokenizerConfig, fit_kmin: int | None, fit_kmax: int | None, fmt: str, bits: bool
-) -> tuple[str, str | None, str | None]:
-    """Count one group of inputs to its spectrum and report it: (label, output, fit error).
-
-    The group is reduced straight to F(k) (``corpus._count_spectrum``); no
-    pooled table is returned.  The output is the report rendered in fmt, or
-    the spectrum for csv, made here so that it is made in the process that
-    counted the group; it is None when the group has no words.
-    """
-    from .corpus import _count_spectrum
-    from .report import build_report, report_json, report_text
-    from .spectrum import spectrum_csv
-
-    spec = _count_spectrum(_open_inputs(paths), config)
-    labels = paths or ["-"]
-    if spec is None:
-        return labels[0], None, None
-    report = build_report(spec, config, labels, fit_kmin, fit_kmax)
-    if fmt == "json":
-        output = report_json(report)
-    elif fmt == "csv":
-        output = "".join(spectrum_csv(spec))
-    else:
-        output = report_text(report, bits)
-    return labels[0], output, report["fit"].get("error")
 
 
 def _cmd_gen(args) -> int:

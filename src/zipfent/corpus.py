@@ -1,31 +1,27 @@
-"""Tokenization and word-frequency counting for pooled text corpora.
+"""Tokenization and word-frequency counting for text corpora.
 
-All words from all inputs are pooled into a single corpus; there is no
-per-document bookkeeping.  ``count_stream`` is the ingestion path for files:
-it counts them in pieces cut after ASCII separator bytes, so memory grows
-with the vocabulary and the longest run without one, not with the input.
-It does not call ``tokenize``, and takes one of two paths per input.
+``count_stream`` pools its files into one table; the CLI counts one group of
+every input, or one group per input under ``--per-file``.  Files are read in
+pieces cut after ASCII separator bytes, so memory grows with the vocabulary
+and the longest run without one, not with the input, and the counts are the
+ones ``tokenize`` gives.
 
-A regular file of at least ``PARALLEL_MIN_BYTES`` is cut into byte ranges,
-counted on several CPUs with ``_map`` (which the CLI also uses for
-``--per-file`` groups) or as one range where ``_workers`` gives 1.  A range
-counts the raw byte tokens of its pieces, then decodes, splits and folds
-each distinct token once (``_words_of_tokens``).  That pays on such a file,
-where few tokens are new: a range of the 39 MB bench text holds 7.8%
-distinct tokens, and a 2,500-word file of the per-file bench 56.6%, which
-it counted slower.  The table of the range this process counts becomes the
-pooled table as it is, and a forked child's comes back in batches of words
-joined by spaces (``_RangeTable``), added one batch at a time; the last
-child's batches are held to the end (``_pool``), where ``count_stream`` adds
-them and ``_count_spectrum``, which the CLI uses, folds them straight into
-the spectrum F(k).  Every other input is decoded piece by piece, case-folded
-whole and split at whitespace.
-Its few distinct tokens that are not ``str.isalnum``, and the byte tokens
-of a piece where folding would change which characters are word
-characters, go to ``_words_of_tokens`` too.  Both give the counts that
-``tokenize`` gives.  Tables are immutable once built and safe to share
-across threads; ``merge`` sums them and is insensitive to the order of its
-arguments.
+One planner spreads all inputs over the CPUs (``_plan``): the bytes of the
+regular files, in input order, are cut into one contiguous share per
+process, and one ``_fork_map`` counts the shares, this process the first.  A
+cut moves to the next ASCII whitespace byte inside a file of at least
+``PARALLEL_MIN_BYTES``, and to the end of a smaller file.  So a document set
+counts on every CPU, pooled or ``--per-file``, and so does one large file.
+A range of a large file, and a table made of that many bytes of smaller
+files, count raw byte tokens and convert each distinct one once
+(``_words_of_tokens``), which pays where few tokens are new.  Every other
+input is decoded piece by piece, folded whole and split at whitespace.
+
+A group that lies wholly in one share is finished in the process that
+counted it.  A group cut across shares is merged in this process
+(``_count_groups``), and the last child's table is folded straight into the
+spectrum F(k) (``_spectrum``).  Tables are immutable once built; ``merge``
+sums them in any order.
 """
 
 from __future__ import annotations
@@ -37,8 +33,8 @@ import stat
 import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, compress, filterfalse, islice, repeat
-from operator import add, not_
+from itertools import chain, compress, filterfalse, groupby, islice, repeat
+from operator import add, itemgetter, not_
 
 from ._record import Record
 from .spectrum import FreqSpectrum, _from_histogram
@@ -71,20 +67,14 @@ _FOLD_SPLITS = (
     "\u1fc6\u1fc7\u1fd2\u1fd3\u1fd6\u1fd7\u1fe2-\u1fe4\u1fe6\u1fe7\u1ff6\u1ff7]"
 )
 
-# Bytes read per chunk by count_stream, and searched for a cut past an even
-# share of a file by _byte_ranges.
+# Bytes read per chunk, and searched at a time by _cut.
 CHUNK_SIZE = 1 << 17
 
-# count_stream counts a regular file with at least this many bytes left in
-# byte ranges on several processes, one per PARALLEL_MIN_BYTES // 2 bytes and
-# CPU.  _map runs at most MAX_WORKERS processes, which bounds the processes
-# and the vocabulary-sized tables that exist at once.
+# _plan makes one share per group and per PARALLEL_MIN_BYTES // 2 bytes and
+# CPU, at most MAX_WORKERS, which bounds the processes and tables that exist
+# at once.  Only a regular file of at least PARALLEL_MIN_BYTES is cut.
 PARALLEL_MIN_BYTES = 8 << 20
 MAX_WORKERS = 8
-
-# True while a _fork_map runs in this process, from before its first fork to
-# its end, and so in its children, so that nothing forks inside one.
-_in_fork_map = False
 
 # Byte tokens converted to words at a time by _words_of_tokens, and words
 # in each batch of a _RangeTable that a forked child sends.
@@ -197,45 +187,28 @@ def count_stream(files: Iterable[BinaryIO], config: TokenizerConfig = DEFAULT_CO
     """Count the words of binary UTF-8 files, read in order, pooled into one table.
 
     Equal to merging ``count_frequencies(tokenize(text, config))`` over the
-    decoded text of each file, but read ``CHUNK_SIZE`` bytes at a time and
-    counted up to the last ASCII separator byte read (``_pieces``); invalid
-    bytes decode to U+FFFD exactly as a one-shot decode would.  Memory grows
-    with the vocabulary and the longest run without an ASCII separator, not
-    with the input.
-
-    A regular file opened with ``open`` (not a decompressing reader) with at
-    least ``PARALLEL_MIN_BYTES`` left to read is cut into byte ranges at ASCII
-    whitespace bytes, one per process of ``_map`` (``_parallel_ranges``), or
-    taken as one range where that is one process.  This process counts the
-    first range itself and forked children count the others; the table is
-    the same, and each process holds a partial vocabulary of its own.  The
-    first range's table is kept as the pooled table, and each child's is
-    added a batch of words at a time (``_RangeTable``), so that no table is
-    built twice or copied: a child's batches are held until the next child's
-    arrive, and the last child's until every file is counted (``_pool``).  A
-    range counts byte tokens and converts each distinct one once
-    (``_count_range``), which pays where most tokens repeat one already
-    counted; every other file is decoded and split piece by piece
-    (``_count_into``), which pays where most are new.  The pieces
-    of those files that hold a character of ``_FOLD_SPLITS`` are counted as
-    byte tokens instead, and at the end, under ``unicode_words``, their
-    tokens that are not ``str.isalnum`` join them; ``_words_of_tokens``
-    converts that table once for all the files.  Each table drops its short
-    words where it is made (``_drop_short``).  Each file is left at its end.
+    decoded text of each file; invalid bytes decode to U+FFFD.  The files
+    are one group of ``_count_groups``, all taken before any is read, so
+    each must stay open until this returns.  A regular file of at least
+    ``PARALLEL_MIN_BYTES`` opened with ``open`` is read from its position in
+    byte ranges, in the shares its bytes fall in; any other file is read
+    whole in this process.  Each file is left at its end.
     """
-    counts, held = _pool(files, config)
+    return _count_groups([list(files)], config, _table)[0]
+
+
+def _table(g: int, counts: Counter[str], held: list[tuple[str, list[int]]]) -> FrequencyTable:
+    """Finish a group of ``count_stream``: the pooled table, with the last child's batches added."""
     _add_batches(counts, held)
     return FrequencyTable._of_counted(counts)
 
 
-def _count_spectrum(files: Iterable[BinaryIO], config: TokenizerConfig) -> FreqSpectrum | None:
-    """``freq_of_freq(count_stream(files, config))``, or None where no word is counted.
+def _spectrum(counts: Counter[str], held: list[tuple[str, list[int]]]) -> FreqSpectrum | None:
+    """``freq_of_freq`` of counts plus the batches held, or None where no word is counted.
 
-    The last forked child's batches are folded into the histogram of the
-    counts, not added to the pooled table: each of its words takes its
-    count out of the table, so no table grows for that share.
+    Each word of the batches takes its count out of counts, so no table
+    grows for the last child's share.
     """
-    counts, held = _pool(files, config)
     hist: Counter[int] = Counter()
     while held:
         words, ns = held.pop()
@@ -244,46 +217,160 @@ def _count_spectrum(files: Iterable[BinaryIO], config: TokenizerConfig) -> FreqS
     return _from_histogram(hist) if hist else None
 
 
-def _pool(files: Iterable[BinaryIO], config: TokenizerConfig) -> tuple[Counter[str], list[tuple[str, list[int]]]]:
-    """The pooled words of ``count_stream``, but for the last forked child's.
+def _count_groups(groups: list[list[Any]], config: TokenizerConfig, finish: Callable[..., Any]) -> list[Any]:
+    """finish(g, counts, held) for each group g of inputs (paths or open binary files), in group order.
 
-    Each child's table arrives as batches (``_RangeTable``), which are held
-    until the next child's arrive and then added; the last child's are
-    returned as they are, for the caller to take up.  The table of the
-    files not cut into ranges drops its short words before it is pooled.
+    Each share of ``_plan`` is one job of a ``_fork_map`` and counts each
+    group's items in it into one table (``_count_part``).  A group wholly in
+    one share is finished there.  A group cut across shares sends its table
+    from each (``_RangeTable``): this process's is kept, each child's
+    batches are added when the next child's arrive, and the last child's
+    are passed to finish.  A child pickles its one result after counting
+    its whole share, so it never waits on the pipe while it counts.
     """
-    counts: Counter[str] = Counter()  # the words of the files cut into byte ranges
-    held: list[tuple[str, list[int]]] = []  # the batches of the last child's table
-    local: Counter[str] = Counter()  # the tokens of the other files
-    tokens: Counter[bytes] = Counter()  # their tokens that _words_of_tokens converts
-    for f in files:
-        ranges = _parallel_ranges(f)
-        if not ranges:
-            _count_into(local, tokens, iter(lambda: f.read(CHUNK_SIZE), b""), config)
-            continue
-        jobs = [(f.fileno(), start, end, config) for start, end in ranges]
-        # each partial table is added and then dropped
-        for table in _map(_count_range, jobs):
-            if not isinstance(table, _RangeTable):  # a child's, in batches
+    shares = _plan(groups)
+    touched = [[g for g, _ in groupby(share, itemgetter(0))] for share in shares]
+    left = Counter(chain.from_iterable(touched))  # the shares of each group not yet taken up
+    whole = {g for g, n in left.items() if n == 1}
+
+    def count(share: list[tuple[int, Any, tuple[int, int, int, int] | None]]) -> list[Any]:
+        # a share's items are in input order, so each group's are consecutive
+        tables = ((g, _count_part(list(items), config)) for g, items in groupby(share, itemgetter(0)))
+        return [finish(g, table, []) if g in whole else _RangeTable(table) for g, table in tables]
+
+    results: dict[int, Any] = {}
+    cut: dict[int, tuple[Counter[str], list[tuple[str, list[int]]]]] = {}  # the groups being taken up
+    outs = _fork_map(count, shares, len(shares)) if len(shares) > 1 else map(count, shares)
+    for w, out in enumerate(outs):
+        for g, result in zip(touched[w], out):
+            left[g] -= 1
+            if g in whole:
+                results[g] = result
+                continue
+            counts, held = cut.pop(g, (Counter(), []))
+            if isinstance(result, _RangeTable):  # this process's: kept as it is
+                counts = result.counts
+            else:  # a child's, in batches
                 _add_batches(counts, held)
-                held = table
-            elif counts:
-                _add(counts, table.counts, table.counts.values())
-            else:  # this process's: kept as it is
-                counts = table.counts
-        # the ranges are read with pread; leave f at its end, as f.read would
-        f.seek(0, os.SEEK_END)
+                held = result
+            if left[g]:
+                cut[g] = counts, held
+            else:
+                results[g] = finish(g, counts, held)
+    for _, source, span in chain.from_iterable(shares):
+        if span and not isinstance(source, str):  # read with pread: left at its end
+            source.seek(0, os.SEEK_END)
+    return [results[g] if g in results else finish(g, Counter(), []) for g in range(len(groups))]
+
+
+def _plan(groups: list[list[Any]]) -> list[list[tuple[int, Any, tuple[int, int, int, int] | None]]]:
+    """One share of (group, input, span) items per process, in input order; the only fork decision.
+
+    Each input is stat-ed once (``_extent``) and none is opened.  The bytes
+    of the regular files, concatenated in input order, are cut into W even
+    shares, W being ``_workers`` of one job per group and per
+    ``PARALLEL_MIN_BYTES // 2`` bytes.  A regular file's span is (start,
+    lo, hi, end), for its bytes [start, end) and the share's [lo, hi).  A
+    file of at least ``PARALLEL_MIN_BYTES`` is split at each cut inside it,
+    which the shares move to the next ASCII whitespace byte (``_cut``).  A
+    cut inside a smaller file moves to its end, and an input that is not a
+    regular file has no span.  Those are read whole: a path in the share
+    where it falls, so that it fails in input order; an open file in this
+    process, so that it is left at its end.  A share may be empty.
+    """
+    items = [(g, source, _extent(source)) for g, group in enumerate(groups) for source in group]
+    # a path that is not a regular file (a pipe, say) is planned as one job's bytes
+    sizes = [e[1] - e[0] if e else PARALLEL_MIN_BYTES // 2 if isinstance(s, str) else 0 for _, s, e in items]
+    total = sum(sizes)
+    workers = _workers(max(len(groups), total // (PARALLEL_MIN_BYTES // 2)))
+    cuts = [total * w // workers for w in range(1, workers)]
+    shares: list[list[tuple[int, Any, tuple[int, int, int, int] | None]]] = [[] for _ in range(workers)]
+    w = pos = 0  # the share of the byte at pos in the concatenation
+    for (g, source, extent), size in zip(items, sizes):
+        while w < len(cuts) and cuts[w] <= pos:
+            w += 1
+        start, end = extent or (0, 0)
+        if end - start < PARALLEL_MIN_BYTES:
+            shares[w if isinstance(source, str) else 0].append((g, source, extent and (start, start, end, end)))
+        else:
+            lo = start
+            while w < len(cuts) and cuts[w] < pos + size:
+                at = start + cuts[w] - pos
+                shares[w].append((g, source, (start, lo, at, end)))
+                lo, w = at, w + 1
+            shares[w].append((g, source, (start, lo, end, end)))
+        pos += size
+    return shares
+
+
+def _extent(source: Any) -> tuple[int, int] | None:
+    """The bytes [start, end) of a regular file that a share may read with ``os.pread``, or None.
+
+    All of a path's bytes, or an open file's from its position where it is a
+    plain OS file (not a pipe, an in-memory buffer or a decompressing
+    reader).  None also where the stat fails: the input fails in its share.
+    """
+    try:
+        if isinstance(source, str):
+            start, info = 0, os.stat(source)
+        elif isinstance(source, (io.BufferedReader, io.BufferedRandom, io.FileIO)):
+            start, info = source.tell(), os.fstat(source.fileno())
+        else:
+            return None
+    except OSError:  # io.UnsupportedOperation is one
+        return None
+    return (start, max(start, info.st_size)) if stat.S_ISREG(info.st_mode) else None
+
+
+def _count_part(
+    items: list[tuple[int, Any, tuple[int, int, int, int] | None]], config: TokenizerConfig
+) -> Counter[str]:
+    """The table of one group's items in one share, without the words ``tokenize`` drops as short.
+
+    A path is opened and closed per item, so no process holds two inputs
+    open.  A range of a file of at least ``PARALLEL_MIN_BYTES`` is read with
+    ``os.pread``, other inputs whole.  Byte tokens pay where most tokens
+    repeat one already counted, which holds for a table of that many bytes
+    of text: so a range, and a regular file in a part of that many bytes,
+    counts its byte tokens, and each distinct one is converted once for the
+    part (``_words_of_tokens``).  Any other input is counted piece by piece
+    (``_count_into``), which pays where most tokens are new.
+    """
+    many = sum(span[2] - span[1] for _, _, span in items if span) >= PARALLEL_MIN_BYTES
+    local: Counter[str] = Counter()  # the tokens of the inputs counted piece by piece
+    tokens: Counter[bytes] = Counter()  # the byte tokens that _words_of_tokens converts
+    for _, source, span in items:
+        f = open(source, "rb") if isinstance(source, str) else source
+        try:
+            large = span is not None and span[3] - span[0] >= PARALLEL_MIN_BYTES
+            if large:
+                start, lo, hi, end = span
+                fd = f.fileno()
+                lo, hi = (_cut(fd, at, end) if start < at < end else at for at in (lo, hi))
+                chunks: Iterable[bytes] = (os.pread(fd, min(CHUNK_SIZE, hi - p), p) for p in range(lo, hi, CHUNK_SIZE))
+            else:
+                chunks = iter(lambda: f.read(CHUNK_SIZE), b"")
+            if large or (span and many):
+                # no name holds the last piece, which may be one long token
+                tokens.update(chain.from_iterable(map(bytes.split, _pieces(chunks, config))))
+            else:
+                _count_into(local, tokens, chunks, config)
+        finally:
+            if f is not source:
+                f.close()
     if config.token_rule == "unicode_words":
         # a token that is not str.isalnum may hold several words or none
         moved = list(filterfalse(str.isalnum, local))
         _add(tokens, list(map(str.encode, moved)), map(local.pop, moved))
-    converted = _words_of_tokens(tokens, config)
-    _add(local, converted, converted.values())
-    _drop_short(local, config)
-    if not counts:
-        return local, held
+    counts = _words_of_tokens(tokens, config)
+    if len(local) > len(counts):  # the smaller table is added to the larger
+        counts, local = local, counts
     _add(counts, local, local.values())
-    return counts, held
+    n = config.min_token_length
+    if n > 1:  # where the table is made, so no child pickles a short word
+        for word in list(compress(counts, map(n.__gt__, map(len, counts)))):
+            del counts[word]
+    return counts
 
 
 def _add_batches(counts: Counter[str], batches: list[tuple[str, list[int]]]) -> None:
@@ -293,27 +380,16 @@ def _add_batches(counts: Counter[str], batches: list[tuple[str, list[int]]]) -> 
         _add(counts, words.split(" "), ns)
 
 
-def _drop_short(counts: Counter[str], config: TokenizerConfig) -> None:
-    """Delete from counts the words shorter than ``config.min_token_length``, as ``tokenize`` drops them."""
-    n = config.min_token_length
-    if n > 1:
-        for word in list(compress(counts, map(n.__gt__, map(len, counts)))):
-            del counts[word]
-
-
 def _count_into(
     counts: Counter[str], tokens: Counter[bytes], chunks: Iterable[bytes], config: TokenizerConfig
 ) -> None:
     """Add to counts or tokens the tokens of one file, read as chunks of bytes.
 
     Each piece of ``_pieces`` is decoded once, case-folded as a whole when
-    lowercasing, split at whitespace and counted in counts.  A piece that
-    holds a character of ``_FOLD_SPLITS`` when lowercasing under
-    ``unicode_words``, whose fold would change its runs of word characters,
-    has its byte tokens counted in tokens instead.  The caller moves the
-    tokens in counts that are not ``str.isalnum`` into tokens, converts
-    tokens with ``_words_of_tokens`` and drops the short words
-    (``_drop_short``), once per table.
+    lowercasing, split at whitespace and counted in counts.  A piece with a
+    character of ``_FOLD_SPLITS`` when lowercasing under ``unicode_words``,
+    whose fold would change its runs of word characters, has its byte tokens
+    counted in tokens instead, for ``_count_part`` to convert.
     """
     splits = config.token_rule == "unicode_words" and config.lowercase
     for piece in _pieces(chunks, config):
@@ -359,35 +435,6 @@ def _pieces(chunks: Iterable[bytes], config: TokenizerConfig) -> Iterator[bytes]
             return
 
 
-def _parallel_ranges(f: BinaryIO) -> list[tuple[int, int]]:
-    """The byte ranges in which count_stream counts f, one per process of ``_map``.
-
-    No range means f is read as a stream: it is not a plain OS file whose bytes
-    are the ones it reads (a pipe, a terminal, an in-memory buffer, a gzip,
-    bz2 or lzma reader over a file), or has fewer than ``PARALLEL_MIN_BYTES``
-    left.  Otherwise it is cut into ``_workers`` ranges, one per
-    ``PARALLEL_MIN_BYTES // 2`` bytes left, or fewer where a cut is not
-    found; one range is counted in this process alone.
-    """
-    if not isinstance(f, (io.BufferedReader, io.BufferedRandom, io.FileIO)):
-        return []
-    try:
-        fd, start = f.fileno(), f.tell()
-    except OSError:  # io.UnsupportedOperation is one
-        return []
-    info = os.fstat(fd)
-    if not stat.S_ISREG(info.st_mode) or info.st_size - start < PARALLEL_MIN_BYTES:
-        return []
-    parts = _workers((info.st_size - start) // (PARALLEL_MIN_BYTES // 2))
-    return _byte_ranges(fd, start, info.st_size, parts)
-
-
-def _map(fn: Callable[[Any], Any], jobs: list[Any]) -> Iterator[Any]:
-    """Yield fn(job) for each job, in job order: a ``_fork_map`` of ``_workers`` processes, or ``map``."""
-    workers = _workers(len(jobs))
-    return _fork_map(fn, jobs, workers) if workers > 1 else map(fn, jobs)
-
-
 def _workers(jobs: int) -> int:
     """Processes for jobs: one per CPU and job up to ``MAX_WORKERS``, or 1 where ``_can_fork`` is false."""
     return min(_cpu_count(), jobs, MAX_WORKERS) if _can_fork() else 1
@@ -397,13 +444,12 @@ def _can_fork() -> bool:
     """Whether a ``_fork_map`` may start here.
 
     Not where the platform has no ``fork``, other threads run (a forked
-    child would not have them), this is a daemonic ``multiprocessing``
-    worker, which may not start processes, or a fork map already runs in
-    this process.
+    child would not have them), or this is a daemonic ``multiprocessing``
+    worker, which may not start processes.
     """
     # neither module is imported just to ask: where it is not loaded, it started nothing
     threading, mp = sys.modules.get("threading"), sys.modules.get("multiprocessing")
-    if _in_fork_map or not hasattr(os, "fork") or threading and threading.active_count() > 1:
+    if not hasattr(os, "fork") or threading and threading.active_count() > 1:
         return False
     return mp is None or not mp.current_process().daemon
 
@@ -416,56 +462,29 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _byte_ranges(fd: int, start: int, end: int, parts: int) -> list[tuple[int, int]]:
-    """Cut bytes [start, end) of the file fd into at most ``parts`` consecutive ranges.
+def _cut(fd: int, at: int, end: int) -> int:
+    """Where a cut at byte at of the file fd moves: the next ASCII whitespace byte before end, or end.
 
-    Each cut moves forward from an even share of the bytes to the next ASCII
-    whitespace byte, one that ``_ASCII_WHITESPACE`` maps to a space.  That
-    byte is never inside a UTF-8 sequence and ends a token under both token
-    rules, so the counts of the ranges sum to the count of the whole.  A cut
-    with no such byte in the ``CHUNK_SIZE`` bytes after it is dropped.
+    Such a byte is never inside a UTF-8 sequence and ends a token under both
+    rules, so the ranges between cuts count to the whole.  The shares on
+    either side of a cut each move it, so the search goes on until it finds
+    one: a later cut never moves before an earlier one.
     """
-    cuts = [start]
-    for i in range(1, parts):
-        at = max(start + (end - start) * i // parts, cuts[-1] + 1)
-        if at >= end:
-            break
+    while at < end:
         found = os.pread(fd, min(CHUNK_SIZE, end - at), at).translate(_ASCII_WHITESPACE).find(b" ")
         if found >= 0:
-            cuts.append(at + found)
-    cuts.append(end)
-    return list(zip(cuts, cuts[1:]))
-
-
-def _count_range(job: tuple[int, int, int, TokenizerConfig]) -> _RangeTable:
-    """Worker: the table of the words in bytes [start, end) of the file fd.
-
-    Counts the byte tokens of each of ``_pieces`` and then converts each
-    distinct token once (``_words_of_tokens``), so that decoding, folding
-    and splitting cost per distinct token, not per token.  A range ends
-    before an ASCII whitespace byte, so its tokens decode as they do in the
-    whole file.  Its short words are dropped here, so no child pickles one.
-    """
-    fd, start, end, config = job
-    chunks = (os.pread(fd, min(CHUNK_SIZE, end - pos), pos) for pos in range(start, end, CHUNK_SIZE))
-    # no name holds the last piece, which may be one long token
-    tokens = Counter(chain.from_iterable(map(bytes.split, _pieces(chunks, config))))
-    counts = _words_of_tokens(tokens, config)
-    _drop_short(counts, config)
-    return _RangeTable(counts)
+            return at + found
+        at += CHUNK_SIZE
+    return end
 
 
 class _RangeTable:
-    """The table of one byte range, ``counts``, as ``_count_range`` returns it: final, short words dropped.
+    """One share's table, ``counts``, of a group cut across shares: final, short words dropped.
 
-    The process that counted the range keeps the table as it is.  Pickled,
-    in a forked child of ``_fork_map``, it is a list of batches of
-    ``_CONVERT_BATCH`` words joined by spaces, each with the list of their
-    counts, which loads several times faster than the table itself.  The
-    parent splits and adds one batch at a time (``_add_batches``), or, for
-    the last child's in ``_count_spectrum``, folds each batch into the
-    spectrum.  No word holds a space, and no word repeats across a child's
-    batches.
+    This process keeps its own as it is.  A forked child pickles it as a
+    list of batches of ``_CONVERT_BATCH`` words joined by spaces, each with
+    the list of their counts, which loads several times faster than the
+    table.  No word holds a space or repeats across a child's batches.
     """
 
     __slots__ = ("counts",)
@@ -485,18 +504,13 @@ def _words_of_tokens(tokens: Counter[bytes], config: TokenizerConfig) -> Counter
     """The words of the counted byte tokens, as ``tokenize`` splits and folds them; empties tokens.
 
     The tokens are those of ``_pieces``, and the UTF-8 of the string path's
-    tokens that are not ``str.isalnum``, which are case-folded already when
-    lowercasing: a fold is its own fold, so folding them again keeps them
-    as they are.  Only a ``str.isalnum`` token of the string path becomes a
-    word anywhere else.  The tokens and their counts are taken as two lists
-    and tokens is cleared, so that its table is freed before the words'
-    grows.  ``_CONVERT_BATCH`` tokens at a time are decoded and case-folded
-    together.  A ``str.isalnum`` token is one word under both rules, and
-    under ``whitespace`` so is a ``str.isprintable`` one; those words are
-    added with one ``_add``, where several tokens can give one word
-    (U+212A and "K" fold to "k", "\u00c0bc" and "\u00e0bc" to "\u00e0bc").
-    Each other token is split as ``tokenize`` splits it, with its count
-    added to each of its words.
+    tokens that are not ``str.isalnum``, already folded when lowercasing (a
+    fold is its own fold).  tokens is cleared before the words' table grows.
+    ``_CONVERT_BATCH`` tokens at a time are decoded and folded together.  A
+    ``str.isalnum`` token, or under ``whitespace`` a ``str.isprintable``
+    one, is one word, added with one ``_add``, where several tokens can give
+    one word (U+212A and "K" fold to "k").  Each other token is split as
+    ``tokenize`` splits it, with its count added to each of its words.
     """
     keys, ns = list(tokens), list(tokens.values())
     tokens.clear()
@@ -539,16 +553,13 @@ def _fork_map(fn: Callable[[Any], Any], jobs: list[Any], workers: int) -> Iterat
     reading the children's results.  fn and the jobs reach the children by
     fork, so only results and exceptions are pickled.  The first failure in
     job order is raised here, and every child is reaped before this returns
-    or raises.  ``_map`` calls it, where ``_can_fork`` holds; ``_in_fork_map``
-    is set from before the first fork to the end, so no fork map nests in it.
+    or raises.
     """
     # imported here, so that importing the CLI does not pay for it
     import pickle
 
-    global _in_fork_map
     pids, pipes = [], []
     done = False
-    _in_fork_map = True
     try:
         for w in range(1, workers):
             read_fd, write_fd = os.pipe()
@@ -576,7 +587,6 @@ def _fork_map(fn: Callable[[Any], Any], jobs: list[Any], workers: int) -> Iterat
             yield result
         done = True
     finally:
-        _in_fork_map = False
         for pipe in pipes:
             pipe.close()
         if not done:
@@ -594,7 +604,6 @@ def _serve_share(fn: Callable[[Any], Any], jobs: list[Any], fd: int) -> None:
 
     Stops after the first failure and leaves with ``os._exit``, so that the
     child runs none of the parent's clean-up and flushes none of its buffers.
-    It inherits ``_in_fork_map`` set, so fn starts no fork map of its own.
     """
     import pickle
 

@@ -36,12 +36,9 @@ def fit_loglog(spec: FreqSpectrum, k_min: int = 1, k_max: int | None = None) -> 
     cannot be instantiated at all.  An explicit k_max below k_min is a
     ValueError.
     """
-    if k_min < 1:
-        raise ValueError(f"k_min must be >= 1, got {k_min}")
+    _check_window(k_min, k_max)
     if k_max is None:
         k_max = spec.max_k
-    elif k_max < k_min:
-        raise ValueError(f"k_max ({k_max}) must be >= k_min ({k_min})")
     used = {k: f for k, f in spec.points.items() if k_min <= k <= k_max}
     if len(used) < 2:
         raise InsufficientPointsError(len(used))
@@ -62,3 +59,11 @@ def fit_loglog(spec: FreqSpectrum, k_min: int = 1, k_max: int | None = None) -> 
         k_min=min(used),
         k_max=max(used),
     )
+
+
+def _check_window(k_min: int, k_max: int | None) -> None:
+    """Refuse a fit window that no spectrum can satisfy: k_min below 1, or k_max below k_min."""
+    if k_min < 1:
+        raise ValueError(f"k_min must be >= 1, got {k_min}")
+    if k_max is not None and k_max < k_min:
+        raise ValueError(f"k_max ({k_max}) must be >= k_min ({k_min})")

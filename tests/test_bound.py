@@ -6,7 +6,7 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, reject
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from conftest import random_tokens
@@ -115,6 +115,29 @@ def test_entropy_equals_the_word_by_word_sum_bit_for_bit(counts):
     for value in (entropy(table), _entropy_of_counts(spec.points, spec.total_tokens)):
         assert value.nats.hex() == expected.hex()
         assert value.bits.hex() == (expected / math.log(2)).hex()
+
+
+@example([33, 12, 40, 29, 29, 35, 29])
+@given(
+    st.lists(
+        st.one_of(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=2**70)),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_entropy_from_spectrum_of_a_table_is_its_entropy_bit_for_bit(counts):
+    # an integer-valued spectrum is summed as the table is, so the library
+    # and the report agree in the last bit
+    table = FrequencyTable.from_counts({f"w{i}": c for i, c in enumerate(counts)})
+    assert entropy_from_spectrum(freq_of_freq(table)).nats.hex() == entropy(table).nats.hex()
+
+
+def test_entropy_from_spectrum_of_a_huge_integer_spectrum():
+    # F(1) past 2**63, as a rounded synthetic law makes it: summed per distinct k
+    spec = FreqSpectrum.from_points({1: 2**64, 2: 3})
+    n = 2**64 + 6
+    expected = math.fsum([-(2**64) * (1 / n) * math.log(1 / n), -3 * (2 / n) * math.log(2 / n)])
+    assert entropy_from_spectrum(spec).nats == pytest.approx(expected, rel=1e-15)
 
 
 def test_entropy_range():

@@ -223,9 +223,8 @@ def test_analyze_in_worker_processes_writes_the_same_bytes(tmp_path, monkeypatch
     monkeypatch.setattr(corpus, "_cpu_count", lambda: 3)
     fork_maps = _spy_fork_maps(monkeypatch)
     assert [run_cli(capsys, *argv) for argv in argvs] == in_process
-    # a pooled run cut the large file into three byte ranges; the --per-file
-    # run took its two files in two processes, the large one as one range
-    assert fork_maps == [3, 3, 3, 2, 3]
+    # every run cut the large file into three byte ranges, --per-file too
+    assert fork_maps == [3, 3, 3, 3, 3]
 
 
 def _per_file_inputs(tmp_path, seed: int) -> list[str]:
@@ -267,10 +266,11 @@ def test_per_file_on_every_cpu_writes_what_one_cpu_writes(tmp_path, monkeypatch,
     monkeypatch.setattr(corpus, "_cpu_count", lambda: 1)
     serial = [run_cli(capsys, *argv) for argv in argvs]
     assert fork_maps == []
-    monkeypatch.setattr(corpus, "_cpu_count", lambda: 3)
-    assert [run_cli(capsys, *argv) for argv in argvs] == serial
+    for cpus in (2, 3):
+        monkeypatch.setattr(corpus, "_cpu_count", lambda: cpus)
+        assert [run_cli(capsys, *argv) for argv in argvs] == serial
     # every argv but the csv one, a usage error, ran its groups in a fork map
-    assert fork_maps == [min(3, len(paths))] * 4
+    assert fork_maps == [2] * 4 + [min(3, len(paths))] * 4
     expected_code = {0: 2, 1: 2, 2: 0}[seed % 3]
     assert [code for code, _, _ in serial] == [expected_code, expected_code, 1, expected_code, expected_code]
 
@@ -278,8 +278,8 @@ def test_per_file_on_every_cpu_writes_what_one_cpu_writes(tmp_path, monkeypatch,
 @pytest.mark.parametrize("names", [("big0", "small0"), ("small0", "big0", "small1", "big1")])
 def test_per_file_with_a_large_file_on_every_cpu_writes_what_one_cpu_writes(tmp_path, monkeypatch, capsys,
                                                                             names):
-    # a large file is one group like any other, counted as one byte range in
-    # the process that takes it
+    # a large file is one group like any other, cut into byte ranges where
+    # a share's edge falls inside it
     rng = random.Random(11)
     words = ["café", "Straße", "STRASSE", "naïve", "\U0001d518x", "to", "a", "x_1", "a—b"]
     paths = []
@@ -299,26 +299,176 @@ def test_per_file_with_a_large_file_on_every_cpu_writes_what_one_cpu_writes(tmp_
     serial = [run_cli(capsys, *argv) for argv in argvs]
     assert fork_maps == []
     assert [code for code, _, _ in serial] == [0, 0]
+    for cpus in (2, 3):
+        monkeypatch.setattr(corpus, "_cpu_count", lambda: cpus)
+        assert [run_cli(capsys, *argv) for argv in argvs] == serial
+    # the bytes of the large files make one share per CPU
+    assert fork_maps == [2, 2, 3, 3]
+
+
+def _spy_plans(monkeypatch) -> list[list]:
+    calls, real = [], corpus._plan
+
+    def plan(groups):
+        shares = real(groups)
+        calls.append(shares)
+        return shares
+
+    monkeypatch.setattr(corpus, "_plan", plan)
+    return calls
+
+
+def test_pooled_small_files_on_every_cpu_write_what_one_cpu_writes(tmp_path, monkeypatch, capsys):
+    # a document set of small files is one group cut into one share per CPU
+    # at file ends; the group's tables are merged in the zipfent process
+    paths = _per_file_inputs(tmp_path, 5) + _per_file_inputs(tmp_path, 8)
+    argvs = [["analyze", *paths], ["analyze", "--format", "text", "--bits", *paths],
+             ["analyze", "--format", "csv", *paths], ["analyze", "--min-token-len", "3", *paths],
+             ["analyze", "--token-rule", "whitespace", "--no-lowercase", *paths]]
+    # 16 files of 190 to 1,439 bytes: every one is smaller than a file that is cut
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 12)
+    fork_maps = _spy_fork_maps(monkeypatch)
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 1)
+    serial = [run_cli(capsys, *argv) for argv in argvs]
+    assert fork_maps == []
+    assert [code for code, _, _ in serial] == [0] * 5
+    for cpus in (2, 3):
+        monkeypatch.setattr(corpus, "_cpu_count", lambda: cpus)
+        plans = _spy_plans(monkeypatch)
+        assert [run_cli(capsys, *argv) for argv in argvs] == serial
+        assert fork_maps[-5:] == [cpus] * 5
+        # every share holds whole files
+        assert all(share and all(span[1] == 0 and span[2] == span[3] for _, _, span in share)
+                   for shares in plans for share in shares)
+
+
+def test_per_file_counts_a_large_file_beside_small_ones_in_several_shares(tmp_path, monkeypatch, capsys):
+    rng = random.Random(12)
+    words = ["café", "Straße", "STRASSE", "naïve", "\U0001d518x", "to", "a", "x_1", "a—b"]
+    paths = _per_file_inputs(tmp_path, 2)
+    big = tmp_path / "big.txt"
+    big.write_text(" ".join(rng.choice(words) + rng.choice(["", "\n"]) for _ in range(3000)), encoding="utf-8")
+    paths.insert(1, str(big))
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 12)
+    argv = ["analyze", "--per-file", "--format", "text", *paths]
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 1)
+    serial = run_cli(capsys, *argv)
+    assert serial[0] == 0
+    for cpus in (2, 3):
+        monkeypatch.setattr(corpus, "_cpu_count", lambda: cpus)
+        plans = _spy_plans(monkeypatch)
+        assert run_cli(capsys, *argv) == serial
+        (shares,) = plans
+        assert len(shares) == cpus
+        assert sum(any(source == str(big) for _, source, _ in share) for share in shares) >= 2
+
+
+@pytest.mark.parametrize("per_file", [False, True])
+def test_a_directory_before_a_missing_file_is_the_first_error_on_every_cpu(tmp_path, monkeypatch, capsys,
+                                                                          per_file):
+    # neither has a size to plan by; each is opened, and fails, in its share
+    docs = _per_file_inputs(tmp_path, 2)[:4]
+    folder, missing = tmp_path / "folder", tmp_path / "missing.txt"
+    folder.mkdir()
+    argv = ["analyze", *(["--per-file"] if per_file else []), docs[0], str(folder), docs[1], str(missing), *docs[2:]]
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 8)
+    fork_maps = _spy_fork_maps(monkeypatch)
+    for cpus in (1, 3):
+        monkeypatch.setattr(corpus, "_cpu_count", lambda: cpus)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"zipfent: error: [Errno 21] Is a directory: '{folder}'\n"
+    assert fork_maps == [3]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("per_file", [False, True])
+@pytest.mark.parametrize("fault", ["dies", "raises"])
+def test_a_child_that_dies_or_raises_is_one_io_error_line_with_every_child_reaped(tmp_path, monkeypatch, capsys,
+                                                                                  per_file, fault):
+    paths = _per_file_inputs(tmp_path, 2)
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 8)
     monkeypatch.setattr(corpus, "_cpu_count", lambda: 3)
-    assert [run_cli(capsys, *argv) for argv in argvs] == serial
-    assert fork_maps == [min(3, len(paths))] * 2
+    parent, real = os.getpid(), corpus._count_part
+
+    def count_part(items, config):
+        if os.getpid() != parent:
+            if fault == "dies":
+                os._exit(0)  # leaves without a result, as a killed child does
+            raise OSError(5, "Input/output error")
+        return real(items, config)
+
+    monkeypatch.setattr(corpus, "_count_part", count_part)
+    code, out, err = run_cli(capsys, "analyze", *(["--per-file"] if per_file else []), *paths)
+    assert (code, out) == (3, "")
+    if fault == "dies":
+        assert err.startswith("zipfent: error: worker process ") and err.endswith(" ended without a result\n")
+    else:
+        assert err == "zipfent: error: [Errno 5] Input/output error\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_two_hundred_inputs_count_with_64_open_files_allowed(tmp_path):
+    # no process holds every input open: each is opened where it is read
+    names = []
+    for i in range(200):
+        (tmp_path / f"d{i:03d}.txt").write_text(f"a a b c{i} caf\u00e9 " * 40, encoding="utf-8")
+        names.append(f"d{i:03d}.txt")
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_NOFILE, (64, 64))\n"
+              "from zipfent import corpus\n"
+              "from zipfent.cli import main\n"
+              "corpus.PARALLEL_MIN_BYTES = 1 << 12\n"
+              "corpus._cpu_count = lambda: 3\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(corpus.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for flags in ([], ["--per-file"]):
+        proc = subprocess.run([sys.executable, "-c", script, "analyze", *flags, *names], cwd=tmp_path,
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(json.loads(proc.stdout)) == 200
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--fit-kmin", "0"], "k_min must be >= 1, got 0"),
+    (["--fit-kmin", "5", "--fit-kmax", "4"], "k_max (4) must be >= k_min (5)"),
+    (["--fit-kmax", "0"], "k_max (0) must be >= k_min (1)"),
+])
+def test_a_bad_fit_window_is_refused_before_any_input_is_read(tmp_path, monkeypatch, capsys, argv, message):
+    # a missing input would be an I/O error and an empty stdin a data error
+    expected = (1, "", f"zipfent: error: {message}\n")
+    assert run_cli(capsys, "analyze", *argv, str(tmp_path / "missing.txt")) == expected
+    assert run_cli(capsys, "analyze", "--per-file", *argv, str(tmp_path / "missing.txt")) == expected
+    feed_stdin(monkeypatch, b"")
+    assert run_cli(capsys, "analyze", *argv) == expected
 
 
 @pytest.mark.parametrize("cpus, jobs, can_fork, workers", [
     (3, 1, True, None), (3, 5, False, None), (1, 5, True, None),
     (3, 2, True, 2), (3, 5, True, 3), (2, 5, True, 2), (16, 5, True, 5), (16, 20, True, corpus.MAX_WORKERS),
 ])
-def test_map_forks_one_process_per_cpu_and_job_up_to_max_workers(monkeypatch, cpus, jobs, can_fork, workers):
+def test_map_forks_one_process_per_cpu_and_job_up_to_max_workers(tmp_path, monkeypatch, cpus, jobs, can_fork,
+                                                                 workers):
+    # one group per small file, as --per-file makes them: one job per group
+    paths = []
+    for j in range(jobs):
+        path = tmp_path / f"doc{j:02d}.txt"
+        path.write_bytes(b"a b\n")
+        paths.append(str(path))
     fork_maps = _spy_fork_maps(monkeypatch)
     monkeypatch.setattr(corpus, "_cpu_count", lambda: cpus)
     if not can_fork:
         monkeypatch.setattr(corpus, "_can_fork", lambda: False)
     parent = os.getpid()
-    results = list(corpus._map(lambda j: (j * j, os.getpid() == parent), list(range(jobs))))
-    assert [r for r, _ in results] == [j * j for j in range(jobs)]
-    # None: no fork map, every job computed in this process
+    results = corpus._count_groups([[p] for p in paths], TokenizerConfig(),
+                                   lambda g, counts, held: (g, dict(counts), os.getpid() == parent))
+    assert [(g, counts) for g, counts, _ in results] == [(j, {"a": 1, "b": 1}) for j in range(jobs)]
+    # None: no fork map, every group counted in this process
     assert fork_maps == ([] if workers is None else [workers])
-    assert all(in_parent for _, in_parent in results) == (workers is None)
+    assert all(in_parent for _, _, in_parent in results) == (workers is None)
 
 
 @pytest.mark.parametrize("missing", [0, 1, 10, 19])  # the parent's share and children's

@@ -296,27 +296,28 @@ _cuttable_bytes = st.lists(
     st.integers(min_value=1, max_value=8),
 )
 def test_byte_ranges_count_to_the_count_of_the_whole_file(prefix, data, config, parts, chunk_size):
-    # the ranges start at the file's current position, here after a prefix
+    # the ranges start at the file's current position, here after a prefix;
+    # a file of 2 bytes or more is cut into one range per byte and CPU
     start, end = len(prefix), len(prefix) + len(data)
     with tempfile.TemporaryFile() as f:
         f.write(prefix + data)
-        f.flush()
-        fd = f.fileno()
-        ranges = corpus._byte_ranges(fd, start, end, parts)
-        total: Counter[str] = Counter()
-        # the cuts are searched for in CHUNK_SIZE bytes, so only the count reads smaller chunks
+        f.seek(start)
+        with mock.patch.object(corpus, "PARALLEL_MIN_BYTES", 2), mock.patch.object(corpus, "_cpu_count", lambda: parts):
+            shares = corpus._plan([[f]])
+        # a cut is searched for CHUNK_SIZE bytes at a time, wherever it is
         with mock.patch.object(corpus, "CHUNK_SIZE", chunk_size):
-            for lo, hi in ranges:
+            ranges = _ranges(shares, f)
+            total: Counter[str] = Counter()
+            for share in shares:
                 # a forked child pickles the table as batches of words joined by spaces
-                for words, ns in pickle.loads(pickle.dumps(corpus._count_range((fd, lo, hi, config)))):
+                for words, ns in pickle.loads(pickle.dumps(corpus._RangeTable(corpus._count_part(share, config)))):
                     total.update(dict(zip(words.split(" "), ns, strict=True)))
-    assert 1 <= len(ranges) <= parts
+    assert len(shares) == (min(parts, len(data)) if len(data) >= 2 else 1)
+    assert len(ranges) == len(shares)
     assert ranges[0][0] == start and ranges[-1][1] == end
     for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
-        assert hi == lo and data[lo - start] in _ASCII_WHITESPACE
-    n = config.min_token_length
-    whole = count_stream([io.BytesIO(data)], config).counts
-    assert {w: c for w, c in total.items() if len(w) >= n} == whole == _one_shot(data, config)
+        assert hi == lo and (lo == end or data[lo - start] in _ASCII_WHITESPACE)
+    assert total == count_stream([io.BytesIO(data)], config).counts == _one_shot(data, config)
 
 
 @pytest.mark.parametrize("token_rule", TOKEN_RULES)
@@ -332,21 +333,36 @@ def test_count_range_adds_a_token_that_folds_onto_an_ascii_word_to_its_count(tok
     with tempfile.TemporaryFile() as f:
         f.write(data)
         f.flush()
-        table = corpus._count_range((f.fileno(), 0, len(data), config))
-    assert table.counts == expected
+        # a file of at least PARALLEL_MIN_BYTES is read as a byte range
+        with mock.patch.object(corpus, "PARALLEL_MIN_BYTES", 1):
+            table = corpus._count_part([(0, f, (0, 0, len(data), len(data)))], config)
+    assert table == expected
+
+
+def _ranges(shares, f) -> list[tuple[int, int]]:
+    """The byte ranges of the open file f in the shares of a plan, each cut inside it moved as its share moves it."""
+    ranges = []
+    for share in shares:
+        for _, source, span in share:
+            if source is f and span:
+                start, lo, hi, end = span
+                ranges.append(tuple(corpus._cut(f.fileno(), at, end) if start < at < end else at for at in (lo, hi)))
+    return ranges
 
 
 def test_byte_ranges_of_a_file_without_ascii_whitespace_is_one_range(tmp_path, monkeypatch):
-    # ASCII punctuation and non-ASCII whitespace end words too, but are not cut at
+    # ASCII punctuation and non-ASCII whitespace end words too, but are not
+    # cut at: every cut moves to the file's end, and the shares after the
+    # first count nothing
     data = "w\u00f6rd,n\u00e4chstes\u00a0Wort\u3000".encode("utf-8") * 4000
     path = tmp_path / "no_cut.txt"
     path.write_bytes(data)
-    with open(path, "rb") as f:
-        assert corpus._byte_ranges(f.fileno(), 0, len(data), 4) == [(0, len(data))]
     monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 10)
     monkeypatch.setattr(corpus, "_cpu_count", lambda: 4)
     with open(path, "rb") as f:
-        assert corpus._parallel_ranges(f) == [(0, len(data))]
+        shares = corpus._plan([[f]])
+        assert len(shares) == 4
+        assert _ranges(shares, f) == [(0, len(data))] + [(len(data), len(data))] * 3
         assert count_stream([f]).counts == {"wörd": 4000, "nächstes": 4000, "wort": 4000}
 
 
@@ -362,26 +378,26 @@ def test_a_file_separated_only_by_tabs_and_crs_is_cut_into_ranges(tmp_path, monk
     _split_in_three(monkeypatch)
     config = TokenizerConfig(lowercase=lowercase, token_rule=token_rule)
     with open(path, "rb") as f:
-        ranges = corpus._parallel_ranges(f)
+        ranges = _ranges(corpus._plan([[f]]), f)
         table = count_stream([f], config)
     assert len(ranges) == 3
     assert all(data[lo] in b"\t\r" for lo, _ in ranges[1:])
     assert table.counts == _one_shot(data, config)
 
 
-@pytest.mark.parametrize("offset, cut", [(0, True), (corpus.CHUNK_SIZE - 1, True), (corpus.CHUNK_SIZE, False)])
-def test_a_cut_is_dropped_without_ascii_whitespace_in_the_search_window(tmp_path, offset, cut):
+@pytest.mark.parametrize("offset", [0, corpus.CHUNK_SIZE - 1, corpus.CHUNK_SIZE, None])
+def test_a_cut_moves_to_the_next_ascii_whitespace_byte_or_the_files_end(tmp_path, offset):
+    # the search goes on past its first CHUNK_SIZE bytes, so that the share
+    # ending at a cut and the one starting there move it to the same byte
     size = 4 * corpus.CHUNK_SIZE
     data = bytearray(b"x" * size)
-    data[size // 2 + offset] = ord("\t")
+    if offset is not None:
+        data[size // 2 + offset] = ord("\t")
     path = tmp_path / "long_word.txt"
     path.write_bytes(data)
     with open(path, "rb") as f:
-        ranges = corpus._byte_ranges(f.fileno(), 0, size, 2)
-    if cut:
-        assert ranges == [(0, size // 2 + offset), (size // 2 + offset, size)]
-    else:
-        assert ranges == [(0, size)]
+        at = corpus._cut(f.fileno(), size // 2, size)
+    assert at == (size if offset is None else size // 2 + offset)
 
 
 def _random_text(seed: int, words: int) -> bytes:
@@ -402,7 +418,8 @@ def test_count_stream_in_workers_counts_from_the_position_and_leaves_f_at_its_en
     _split_in_three(monkeypatch)
     with open(path, "rb") as f:
         f.read(7)
-        assert len(corpus._parallel_ranges(f)) == 3
+        assert [[span[:2] for _, _, span in share] for share in corpus._plan([[f]])][0] == [(7, 7)]
+        assert len(_ranges(corpus._plan([[f]]), f)) == 3
         table = count_stream([f])
         assert f.tell() == len(data)
     assert table.counts == count_stream([io.BytesIO(data[7:])]).counts
@@ -425,9 +442,14 @@ def test_pooled_ranges_and_stream_pieces_count_to_the_tokens_of_their_join(tmp_p
     monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 10)
     monkeypatch.setattr(corpus, "_cpu_count", lambda: cpus)
     with open(path, "rb") as f:
-        assert len(corpus._parallel_ranges(f)) == cpus
+        buffer = io.BytesIO(stream)
+        shares = corpus._plan([[f, buffer]])
+        # an in-memory buffer is read whole in this process
+        assert len(_ranges(shares, f)) == len(shares) == cpus
+        assert (0, buffer, None) in shares[0]
         monkeypatch.setattr(corpus, "CHUNK_SIZE", 64)
-        table = count_stream([f, io.BytesIO(stream)], config)
+        table = count_stream([f, buffer], config)
+        assert buffer.read() == b""
     assert table.counts == _one_shot(big + b"\n" + stream, config)
 
 
@@ -447,11 +469,11 @@ def test_a_childs_table_crosses_the_pipe_in_batches(tmp_path, monkeypatch, lower
     monkeypatch.setattr(corpus, "_CONVERT_BATCH", 3)
     config = TokenizerConfig(lowercase=lowercase, min_token_length=min_token_length, token_rule=token_rule)
     with open(path, "rb") as f:
-        ranges = corpus._parallel_ranges(f)
-        (_, lo), (_, hi), (_, end) = ranges
+        shares = corpus._plan([[f]])
+        (_, lo), (_, hi), _ = _ranges(shares, f)
         assert not re.search(r"\w", data[lo:hi].decode("utf-8"))
         monkeypatch.setattr(corpus, "CHUNK_SIZE", 64)
-        batches = pickle.loads(pickle.dumps(corpus._count_range((f.fileno(), hi, end, config))))
+        batches = pickle.loads(pickle.dumps(corpus._RangeTable(corpus._count_part(shares[2], config))))
         assert len(batches) > 1
         assert min(len(word) for words, _ in batches for word in words.split(" ")) >= min_token_length
         table = count_stream([f], config)
@@ -469,7 +491,10 @@ def test_the_ranges_of_two_large_files_pool_into_a_counter_that_pickles_as_itsel
     monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 10)
     monkeypatch.setattr(corpus, "_cpu_count", lambda: cpus)
     with open(paths[0], "rb") as f, open(paths[1], "rb") as g:
-        assert len(corpus._parallel_ranges(f)) == len(corpus._parallel_ranges(g)) == cpus
+        shares = corpus._plan([[f, g]])
+        assert len(shares) == cpus
+        # with 3 CPUs the middle share holds a range of each
+        assert len(_ranges(shares, f)) == len(_ranges(shares, g)) == (cpus + 1) // 2
         table = count_stream([f, g])
     assert table.counts == _one_shot(b"\n".join(texts), TokenizerConfig())
     assert type(table.counts) is Counter
@@ -498,12 +523,12 @@ def _spectrum_text(rng: random.Random, words: int) -> bytes:
     separators=st.booleans(),
 )
 def test_count_spectrum_is_the_spectrum_of_count_stream(tmp_path_factory, seed, cpus, config, separators):
-    # two large files cut into up to 4 byte ranges each and a small file in
-    # one pooled group: with 3 or more ranges a file's last child takes up
-    # the batches held from the child before it.  With separators and 3 or
-    # more ranges a range of the first file holds no word under unicode_words
+    # two large files and a small file in one pooled group, cut into up to 4
+    # shares: with 3 or more a group's last child takes up the batches held
+    # from the child before it.  With separators and 3 or more shares a
+    # share of the first file holds no word under unicode_words
     rng = random.Random(seed)
-    marks = " ".join(rng.choice([".", ",", "--", "!?", "\u00ab\u00bb", "\u2014"]) for _ in range(2000)).encode("utf-8")
+    marks = " ".join(rng.choice([".", ",", "--", "!?", "\u00ab\u00bb", "\u2014"]) for _ in range(12000)).encode("utf-8")
     first = _spectrum_text(rng, 300) + (b"\n" + marks + b"\n" if separators else b" ") + _spectrum_text(rng, 300)
     texts = [first, _spectrum_text(rng, 600), _spectrum_text(rng, 20)]
     paths = [tmp_path_factory.mktemp("spectrum") / name for name in ("a.txt", "b.txt", "c.txt")]
@@ -513,15 +538,20 @@ def test_count_spectrum_is_the_spectrum_of_count_stream(tmp_path_factory, seed, 
             mock.patch.object(corpus, "_cpu_count", lambda: cpus):
         with contextlib.ExitStack() as stack:
             files = [stack.enter_context(open(path, "rb")) for path in paths]
-            ranges = [corpus._parallel_ranges(f) for f in files]
-            assert list(map(len, ranges)) == [cpus, cpus, 0]
+            shares = corpus._plan([files])
+            assert len(shares) == cpus
             if separators and cpus >= 3:
-                assert any(not re.search(r"\w", first[lo:hi].decode("utf-8")) for lo, hi in ranges[0])
-            spec = corpus._count_spectrum(files, config)
+                assert any(not re.search(r"\w", first[lo:hi].decode("utf-8")) for lo, hi in _ranges(shares, files[0]))
+            (spec,) = corpus._count_groups([files], config, _spectrum)
         with contextlib.ExitStack() as stack:
             table = count_stream([stack.enter_context(open(path, "rb")) for path in paths], config)
     assert spec == freq_of_freq(table)
     assert table.counts == _one_shot(b"\n".join(texts), config)
+
+
+def _spectrum(g, counts, held):
+    """Finish a group as the CLI does, at its spectrum."""
+    return corpus._spectrum(counts, held)
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -533,8 +563,8 @@ def test_count_spectrum_of_words_all_shorter_than_the_minimum_is_none(tmp_path, 
     monkeypatch.setattr(corpus, "_cpu_count", lambda: cpus)
     config = TokenizerConfig(min_token_length=3, token_rule=token_rule)
     with open(path, "rb") as f:
-        assert len(corpus._parallel_ranges(f)) == cpus
-        assert corpus._count_spectrum([f], config) is None
+        assert len(_ranges(corpus._plan([[f]]), f)) == cpus
+        assert corpus._count_groups([[f]], config, _spectrum) == [None]
 
 
 def test_a_large_file_is_one_range_counted_in_process_where_no_fork_may_start(tmp_path, monkeypatch):
@@ -552,24 +582,61 @@ def test_a_large_file_is_one_range_counted_in_process_where_no_fork_may_start(tm
     monkeypatch.setattr(os, "fork", refuse)
     with open(path, "rb") as f:
         f.read(7)
-        assert corpus._parallel_ranges(f) == [(7, len(data))]
+        assert corpus._plan([[f]]) == [[(0, f, (7, 7, len(data), len(data)))]]
         assert count_stream([f]).counts == expected
         assert f.tell() == len(data)
 
 
-def test_a_large_file_counted_in_a_fork_map_share_starts_no_fork_map(tmp_path, monkeypatch):
-    path = tmp_path / "big.txt"
-    path.write_bytes(_random_text(5, 4000))
-    _split_in_three(monkeypatch)
+def test_plan_cuts_the_bytes_of_all_inputs_into_even_shares(tmp_path, monkeypatch):
+    # 512-byte jobs; a path that is not a regular file is planned as one
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 10)
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 4)
+    a, big, c, missing, folder = (str(tmp_path / name) for name in ("a", "big", "c", "missing", "folder"))
+    for path, size in ((a, 600), (big, 2000), (c, 100)):
+        with open(path, "wb") as f:
+            f.write(b"x " * (size // 2))
+    os.mkdir(folder)
+    # 3,724 bytes in 4 shares: cuts at 931 and 1,862 fall inside the large
+    # file, and the cut at 2,793 inside the missing file moves to its end
+    assert corpus._plan([[a, big, c, missing, folder]]) == [
+        [(0, a, (0, 0, 600, 600)), (0, big, (0, 0, 331, 2000))],
+        [(0, big, (0, 331, 1262, 2000))],
+        [(0, big, (0, 1262, 2000, 2000)), (0, c, (0, 0, 100, 100)), (0, missing, None)],
+        [(0, folder, None)],
+    ]
+    # one group per input, as --per-file makes them: a cut at a file's start
+    # puts it in the next share
+    assert corpus._plan([[missing], [folder]]) == [[(0, missing, None)], [(1, folder, None)]]
 
-    def share(_):
-        for _ in range(2):
-            with open(path, "rb") as f:
-                assert len(corpus._parallel_ranges(f)) == 1
-                count_stream([f])
-        return corpus._can_fork()
 
-    assert list(corpus._fork_map(share, range(2), 2)) == [False, False]
+@pytest.mark.parametrize("lowercase", [True, False])
+@pytest.mark.parametrize("token_rule", TOKEN_RULES)
+def test_small_files_pooled_into_a_large_table_count_byte_tokens(tmp_path, monkeypatch, token_rule, lowercase):
+    # files of about 2 KB, each smaller than a file that is cut: where one
+    # table is made of PARALLEL_MIN_BYTES or more of them, its tokens repeat
+    # as a large file's do, and their byte tokens are counted; alone, each
+    # is decoded and split piece by piece
+    texts = [_random_text(20 + i, 300) for i in range(6)]
+    paths = [tmp_path / f"doc{i}.txt" for i in range(6)]
+    for path, text in zip(paths, texts):
+        path.write_bytes(text)
+    config = TokenizerConfig(lowercase=lowercase, token_rule=token_rule)
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 12)
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 1)
+    pieces, real = [], corpus._count_into
+
+    def count_into(counts, tokens, chunks, config):
+        pieces.append(1)
+        real(counts, tokens, chunks, config)
+
+    monkeypatch.setattr(corpus, "_count_into", count_into)
+    with contextlib.ExitStack() as stack:
+        table = count_stream([stack.enter_context(open(path, "rb")) for path in paths], config)
+    assert pieces == []
+    assert table.counts == _one_shot(b"\n".join(texts), config)
+    with open(paths[0], "rb") as f:
+        assert count_stream([f], config).counts == _one_shot(texts[0], config)
+    assert pieces == [1]
 
 
 @pytest.mark.parametrize("codec", [gzip, bz2, lzma])
@@ -582,7 +649,7 @@ def test_a_compressed_file_is_counted_in_process(tmp_path, monkeypatch, codec):
     _split_in_three(monkeypatch)
     assert path.stat().st_size >= 2 * corpus.PARALLEL_MIN_BYTES
     with codec.open(path, "rb") as f:
-        assert corpus._parallel_ranges(f) == []
+        assert corpus._plan([[f]]) == [[(0, f, None)]]
         assert count_stream([f]).counts == count_stream([io.BytesIO(data)]).counts
 
 
@@ -614,13 +681,6 @@ def test_fork_map_yields_in_job_order_with_the_parent_taking_share_zero(workers)
     assert [r for r, _ in results] == [j * j for j in range(11)]
     # the parent computes jobs 0, workers, 2 * workers, ...
     assert [in_parent for _, in_parent in results] == [j % workers == 0 for j in range(11)]
-    _assert_no_child_left()
-
-
-def test_fork_map_forbids_a_fork_map_inside_one():
-    assert corpus._can_fork()
-    assert list(corpus._fork_map(lambda j: corpus._can_fork(), range(6), 3)) == [False] * 6
-    assert corpus._can_fork()
     _assert_no_child_left()
 
 
@@ -659,8 +719,5 @@ def test_fork_map_child_without_a_result_is_an_os_error():
 def test_fork_map_closed_early_stops_and_reaps_its_children():
     results = corpus._fork_map(lambda j: j, range(100), 3)
     assert next(results) == 0 and next(results) == 1
-    # suspended between two results, the map still forbids another
-    assert not corpus._can_fork()
     results.close()
-    assert corpus._can_fork()
     _assert_no_child_left()
