@@ -18,7 +18,6 @@ _EXPORTS = {
     "EmptyCorpusError": "errors",
     "EntropyValue": "bound",
     "FreqSpectrum": "spectrum",
-    "FrequencyTable": "corpus",
     "InequalityResult": "bound",
     "InsufficientPointsError": "errors",
     "PowerLawFit": "fit",
@@ -27,16 +26,12 @@ _EXPORTS = {
     "TokenizerConfig": "corpus",
     "build_report": "report",
     "chain_check": "bound",
-    "count_frequencies": "corpus",
-    "count_stream": "corpus",
+    "count_spectrum": "corpus",
     "entropy": "bound",
-    "entropy_from_spectrum": "bound",
     "entropy_upper_bound": "bound",
     "fit_loglog": "fit",
     "freq_of_freq": "spectrum",
     "generate_spectrum": "synth",
-    "merge": "corpus",
-    "read_text": "corpus",
     "report_json": "report",
     "report_schema": "report",
     "report_text": "report",

@@ -8,15 +8,10 @@ Entropy uses the standard non-negative convention -sum p ln p.
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 from ._record import Record
-from .errors import BoundNotApplicableError, EmptyCorpusError
+from .errors import BoundNotApplicableError
 from .spectrum import FreqSpectrum
-
-TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
-if TYPE_CHECKING:
-    from .corpus import FrequencyTable
 
 _LN2 = math.log(2)
 
@@ -34,38 +29,22 @@ class EntropyValue(Record):
         return cls(nats=nats, bits=nats / _LN2)
 
 
-def entropy(table: FrequencyTable) -> EntropyValue:
-    """-sum_w p(w) ln p(w) with p(w) = count(w) / N."""
-    if table.is_empty():
-        raise EmptyCorpusError("entropy of an empty table is undefined")
-    return _entropy_of_counts(Counter(table.counts.values()), table.total_tokens)
+def entropy(spec: FreqSpectrum) -> EntropyValue:
+    """-sum_w p(w) ln p(w) with p(w) = fr(w) / N, regrouped by frequency: -sum_k F(k) (k/N) ln(k/N).
 
-
-def _entropy_of_counts(words_with: dict[int, int], n: int) -> EntropyValue:
-    """The entropy of words_with[c] words with count c each, for every c, out of n tokens.
-
-    The term of each distinct count is computed once, and its exact
-    multiples are summed as integers over the largest power-of-two
-    denominator of the terms.  The division rounds that exact sum once, as
-    fsum of the word-by-word terms does, so the two agree bit for bit; a
-    product F(c) * term, rounded on its own, would not.
+    Every word with count k contributes the same term, which is computed
+    once.  On an integer-valued spectrum the exact multiples F(k) * term are
+    summed as integers over the largest power-of-two denominator of the
+    terms.  The division rounds that exact sum once, as fsum of the
+    word-by-word terms does, so the two agree bit for bit; a product
+    F(k) * term, rounded on its own, would not.  A real-valued spectrum is
+    summed with fsum of F(k)-weighted terms, ascending in k.
     """
-    ratios = [(f, (-(p := c / n) * math.log(p)).as_integer_ratio()) for c, f in words_with.items()]
-    d = max((den for _, (_, den) in ratios), default=1)
-    return EntropyValue.from_nats(sum(f * num * (d // den) for f, (num, den) in ratios) / d + 0.0)
-
-
-def entropy_from_spectrum(spec: FreqSpectrum) -> EntropyValue:
-    """Entropy regrouped by frequency: -sum_k F(k) (k/N) ln(k/N).
-
-    Mathematically identical to summing word by word, since every word with
-    count k contributes the same term.  An integer-valued spectrum is summed
-    as ``entropy`` sums a table, so the two agree bit for bit; a real-valued
-    one with fsum of F(k)-weighted terms, ascending in k.
-    """
-    if spec.is_integer_valued():
-        return _entropy_of_counts(spec.points, spec.total_tokens)
     n = spec.total_tokens
+    if spec.is_integer_valued():
+        ratios = [(f, (-(p := k / n) * math.log(p)).as_integer_ratio()) for k, f in spec.points.items()]
+        d = max(den for _, (_, den) in ratios)
+        return EntropyValue.from_nats(sum(f * num * (d // den) for f, (num, den) in ratios) / d + 0.0)
     terms = (-f * (p := k / n) * math.log(p) for k, f in spec.points.items())
     return EntropyValue.from_nats(math.fsum(terms) + 0.0)
 

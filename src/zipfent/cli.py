@@ -200,15 +200,20 @@ def _cmd_sweep(args) -> int:
 
 
 # bench/tracer.py wraps these names on this module.  The commands import what
-# they run, so no call goes through these names and their spans stay empty;
-# they resolve from the package on first access.
+# they run, so no call goes through these names and their spans stay empty.
+# They resolve from the package on first access, and read_text,
+# count_frequencies and merge, which the package no longer has, to _removed.
 _TRACER_NAMES = ("read_text", "tokenize", "count_frequencies", "merge", "build_report", "report_json")
+
+
+def _removed(*args, **kwargs):
+    raise NotImplementedError("zipfent no longer has this function")
 
 
 def __getattr__(name: str):
     if name not in _TRACER_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(sys.modules[__package__], name)
+    return getattr(sys.modules[__package__], name, _removed)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,10 +1,10 @@
 """Tokenization and word-frequency counting for text corpora.
 
-``count_stream`` pools its files into one table; the CLI counts one group of
-every input, or one group per input under ``--per-file``.  Files are read in
-pieces cut after ASCII separator bytes, so memory grows with the vocabulary
-and the longest run without one, not with the input, and the counts are the
-ones ``tokenize`` gives.
+``count_spectrum`` pools its files into one spectrum F(k); the CLI counts
+one group of every input, or one group per input under ``--per-file``.
+Files are read in pieces cut after ASCII separator bytes, so memory grows
+with the vocabulary and the longest run without one, not with the input,
+and the counts are the ones ``tokenize`` gives.
 
 One planner spreads all inputs over the CPUs (``_plan``): the bytes of the
 regular files, in input order, are cut into one contiguous share per
@@ -20,8 +20,7 @@ input is decoded piece by piece, folded whole and split at whitespace.
 A group that lies wholly in one share is finished in the process that
 counted it.  A group cut across shares is merged in this process
 (``_count_groups``), and the last child's table is folded straight into the
-spectrum F(k) (``_spectrum``).  Tables are immutable once built; ``merge``
-sums them in any order.
+spectrum F(k) (``_spectrum``).
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from itertools import chain, compress, filterfalse, groupby, islice, repeat
 from operator import add, itemgetter, not_
 
 from ._record import Record
+from .errors import EmptyCorpusError
 from .spectrum import FreqSpectrum, _from_histogram
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -119,53 +119,6 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_CONFIG) -> list[str]:
     return tokens
 
 
-class FrequencyTable(Record):
-    """Immutable word -> occurrence-count map with precomputed aggregates.
-
-    ``total_tokens`` is the sum of all counts (N) and ``max_frequency`` the
-    largest single count (M, 0 only for the empty table).
-    """
-
-    counts: dict[str, int]
-    total_tokens: int
-    max_frequency: int
-    vocab_size: int
-
-    @classmethod
-    def from_counts(cls, counts: dict[str, int]) -> "FrequencyTable":
-        counts = dict(counts)
-        for word, c in counts.items():
-            if not isinstance(c, int) or c < 1:
-                raise ValueError(f"count for {word!r} must be a positive integer, got {c!r}")
-        return cls._of_counted(counts)
-
-    @classmethod
-    def _of_counted(cls, counts: dict[str, int]) -> "FrequencyTable":
-        """The table of counts known to be positive ints, which it keeps without a copy."""
-        return cls(
-            counts=counts,
-            total_tokens=sum(counts.values()),
-            max_frequency=max(counts.values(), default=0),
-            vocab_size=len(counts),
-        )
-
-    def is_empty(self) -> bool:
-        return not self.counts
-
-
-def count_frequencies(tokens: Iterable[str]) -> FrequencyTable:
-    """Count how often each word occurs."""
-    return FrequencyTable.from_counts(Counter(tokens))
-
-
-def merge(tables: Iterable[FrequencyTable]) -> FrequencyTable:
-    """Pointwise sum of several tables; associative and commutative."""
-    merged: dict[str, int] = {}
-    for table in tables:
-        _add(merged, table.counts, table.counts.values())
-    return FrequencyTable.from_counts(merged)
-
-
 def _add(counts: dict[Any, int], keys: Iterable[Any], ns: Iterable[int]) -> None:
     """Add each of ns to the count of the key at its place in keys, which are iterated twice.
 
@@ -177,30 +130,22 @@ def _add(counts: dict[Any, int], keys: Iterable[Any], ns: Iterable[int]) -> None
     dict.update(counts, zip(keys, map(add, map(counts.get, keys, repeat(0)), ns)))
 
 
-def read_text(path: str | os.PathLike) -> str:
-    """Read a UTF-8 text file; invalid byte sequences are replaced, not fatal."""
-    with open(path, encoding="utf-8", errors="replace") as f:
-        return f.read()
+def count_spectrum(files: Iterable[BinaryIO], config: TokenizerConfig = DEFAULT_CONFIG) -> FreqSpectrum:
+    """The spectrum F(k) of the words of binary UTF-8 files, read in order and pooled.
 
-
-def count_stream(files: Iterable[BinaryIO], config: TokenizerConfig = DEFAULT_CONFIG) -> FrequencyTable:
-    """Count the words of binary UTF-8 files, read in order, pooled into one table.
-
-    Equal to merging ``count_frequencies(tokenize(text, config))`` over the
-    decoded text of each file; invalid bytes decode to U+FFFD.  The files
-    are one group of ``_count_groups``, all taken before any is read, so
-    each must stay open until this returns.  A regular file of at least
+    Equal to ``freq_of_freq(Counter(tokenize(text, config)))`` of the
+    decoded texts joined by newlines; invalid bytes decode to U+FFFD.  The
+    files are one group of ``_count_groups``, all taken before any is read,
+    so each must stay open until this returns.  A regular file of at least
     ``PARALLEL_MIN_BYTES`` opened with ``open`` is read from its position in
     byte ranges, in the shares its bytes fall in; any other file is read
-    whole in this process.  Each file is left at its end.
+    whole in this process.  Each file is left at its end.  Files with no
+    word raise ``EmptyCorpusError``.
     """
-    return _count_groups([list(files)], config, _table)[0]
-
-
-def _table(g: int, counts: Counter[str], held: list[tuple[str, list[int]]]) -> FrequencyTable:
-    """Finish a group of ``count_stream``: the pooled table, with the last child's batches added."""
-    _add_batches(counts, held)
-    return FrequencyTable._of_counted(counts)
+    spec = _count_groups([list(files)], config, lambda g, counts, held: _spectrum(counts, held))[0]
+    if spec is None:
+        raise EmptyCorpusError("empty corpus")
+    return spec
 
 
 def _spectrum(counts: Counter[str], held: list[tuple[str, list[int]]]) -> FreqSpectrum | None:
@@ -276,7 +221,10 @@ def _plan(groups: list[list[Any]]) -> list[list[tuple[int, Any, tuple[int, int, 
     cut inside a smaller file moves to its end, and an input that is not a
     regular file has no span.  Those are read whole: a path in the share
     where it falls, so that it fails in input order; an open file in this
-    process, so that it is left at its end.  A share may be empty.
+    process, so that it is left at its end.  A share whose cuts all moved to
+    one file's end holds nothing and is dropped, so that no process counts
+    nothing; the first share holds every open file, so it is dropped only
+    where there is none.
     """
     items = [(g, source, _extent(source)) for g, group in enumerate(groups) for source in group]
     # a path that is not a regular file (a pipe, say) is planned as one job's bytes
@@ -300,7 +248,7 @@ def _plan(groups: list[list[Any]]) -> list[list[tuple[int, Any, tuple[int, int, 
                 lo, w = at, w + 1
             shares[w].append((g, source, (start, lo, end, end)))
         pos += size
-    return shares
+    return [share for share in shares if share]
 
 
 def _extent(source: Any) -> tuple[int, int] | None:

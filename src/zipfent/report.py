@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from .bound import _entropy_of_counts, chain_check, entropy, entropy_upper_bound  # noqa: F401
+from .bound import chain_check, entropy, entropy_upper_bound
 from .errors import InsufficientPointsError
 from .fit import fit_loglog
 from .spectrum import FreqSpectrum, freq_of_freq  # noqa: F401
@@ -13,8 +13,8 @@ TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .corpus import TokenizerConfig
 
-# bench/tracer.py wraps entropy and freq_of_freq on this module; build_report,
-# given the spectrum, calls neither.
+# bench/tracer.py wraps freq_of_freq on this module; build_report, given the
+# spectrum, does not call it.
 
 
 def build_report(
@@ -34,7 +34,7 @@ def build_report(
     contains no timestamps or environment state: identical input and config
     reproduce it byte for byte.
     """
-    ent = _entropy_of_counts(spec.points, spec.total_tokens)
+    ent = entropy(spec)
     report: dict = {
         "n_tokens": spec.total_tokens,
         "vocab_size": sum(spec.points.values()),

@@ -4,15 +4,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from itertools import islice
 
 from ._record import Record
 from .errors import EmptyCorpusError
-
-TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
-if TYPE_CHECKING:
-    from .corpus import FrequencyTable
 
 _FLOAT_MAX = math.nextafter(math.inf, 0.0)  # no F(k) or token total may be larger
 
@@ -66,11 +62,14 @@ def _exact_sum(terms: Iterable[float], integer: bool) -> float:
     return total
 
 
-def freq_of_freq(table: FrequencyTable) -> FreqSpectrum:
-    """Histogram the counts: F(k) = number of distinct words occurring exactly k times."""
-    if table.is_empty():
-        raise EmptyCorpusError("cannot build a spectrum from an empty table")
-    return _from_histogram(Counter(table.counts.values()))
+def freq_of_freq(counts: Mapping[str, int]) -> FreqSpectrum:
+    """Histogram a word -> count mapping, such as ``Counter(tokenize(text))``:
+    F(k) = number of distinct words occurring exactly k times.
+
+    Built with ``FreqSpectrum.from_points``, so an empty mapping is an
+    ``EmptyCorpusError`` and a count that is not a positive int a ValueError.
+    """
+    return FreqSpectrum.from_points(Counter(counts.values()))
 
 
 def _from_histogram(hist: Counter[int]) -> FreqSpectrum:

@@ -14,9 +14,10 @@ from collections.abc import Iterable, Iterator
 
 from ._record import Record
 from .bound import chain_diagnostics, entropy_upper_bound
-# bench/tracer.py wraps these names on this module.  Nothing here calls them
-# (sweep works from power sums), so their spans stay empty.
-from .bound import chain_check, entropy_from_spectrum  # noqa: F401
+# bench/tracer.py wraps these names on this module, entropy under its old
+# name.  Nothing here calls them (sweep works from power sums), so their
+# spans stay empty.
+from .bound import chain_check, entropy as entropy_from_spectrum  # noqa: F401
 from .spectrum import _FLOAT_MAX, FreqSpectrum, _csv_blocks, _exact_sum
 
 MODES = ("exact_real", "rounded_integer")

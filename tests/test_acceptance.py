@@ -9,15 +9,16 @@ import math
 import random
 import sys
 import time
+from collections import Counter
 
 import jsonschema
 import mpmath
 import numpy as np
 
 from conftest import random_tokens
-from zipfent.bound import entropy, entropy_from_spectrum, entropy_upper_bound
+from zipfent.bound import entropy, entropy_upper_bound
 from zipfent.cli import main
-from zipfent.corpus import FrequencyTable, count_frequencies, merge
+from zipfent.corpus import count_spectrum
 from zipfent.fit import fit_loglog
 from zipfent.report import report_schema
 from zipfent.spectrum import FreqSpectrum, freq_of_freq
@@ -39,21 +40,23 @@ def test_criterion_1_entropy_oracle_equivalence():
     rng = random.Random(101)
     start = time.perf_counter()
     worst_oracle = 0.0
-    worst_regroup = 0.0
+    unequal_to_fsum = 0
     for _ in range(200):
-        table = count_frequencies(random_tokens(rng, max_tokens=100, alphabet=12))
-        nats = entropy(table).nats
-        worst_oracle = max(worst_oracle, abs(nats - _numpy_entropy(table.counts.values())))
-        regrouped = entropy_from_spectrum(freq_of_freq(table)).nats
-        worst_regroup = max(worst_regroup, abs(nats - regrouped))
+        counts = Counter(random_tokens(rng, max_tokens=100, alphabet=12))
+        nats = entropy(freq_of_freq(counts)).nats
+        worst_oracle = max(worst_oracle, abs(nats - _numpy_entropy(counts.values())))
+        # the regrouped sum is exact and rounded once: fsum of the word-by-word terms, bit for bit
+        n = sum(counts.values())
+        word_by_word = math.fsum(-(c / n) * math.log(c / n) for c in counts.values()) + 0.0
+        unequal_to_fsum += nats.hex() != word_by_word.hex()
     elapsed = time.perf_counter() - start
-    ok = worst_oracle <= 1e-12 and worst_regroup <= 1e-12 and elapsed < 2.0
+    ok = worst_oracle <= 1e-12 and unequal_to_fsum == 0 and elapsed < 2.0
     _verdict(
         1,
         ok,
         f"entropy oracle equivalence on 200 corpora: max |dev| vs direct sum "
-        f"{worst_oracle:.2e}, vs regrouped sum {worst_regroup:.2e} (tol 1e-12), "
-        f"{elapsed:.2f}s (< 2s)",
+        f"{worst_oracle:.2e} (tol 1e-12), {unequal_to_fsum} not bit-equal to fsum of "
+        f"the word-by-word terms, {elapsed:.2f}s (< 2s)",
     )
 
 
@@ -116,18 +119,19 @@ def test_criterion_5_invariance_suite():
     failures = []
     for i in range(200):
         tokens = random_tokens(rng, max_tokens=120, alphabet=15)
-        table = count_frequencies(tokens)
-        spec = freq_of_freq(table)
-        if sum(k * f for k, f in spec.points.items()) != table.total_tokens:
+        counts = Counter(tokens)
+        spec = freq_of_freq(counts)
+        if sum(k * f for k, f in spec.points.items()) != len(tokens):
             failures.append(f"case {i}: token conservation")
-        if sum(spec.points.values()) != table.vocab_size:
+        if sum(spec.points.values()) != len(counts):
             failures.append(f"case {i}: vocabulary conservation")
-        nats = entropy(table).nats
+        nats = entropy(spec).nats
         for c in (2, 3, 10):
-            scaled = FrequencyTable.from_counts({w: c * n for w, n in table.counts.items()})
+            # every count times c: F(k) moves to c k
+            scaled = FreqSpectrum.from_points({c * k: f for k, f in spec.points.items()})
             if abs(entropy(scaled).nats - nats) > 1e-12:
                 failures.append(f"case {i}: scale invariance x{c}")
-        if not (-1e-12 <= nats <= math.log(table.vocab_size) + 1e-12):
+        if not (-1e-12 <= nats <= math.log(len(counts)) + 1e-12):
             failures.append(f"case {i}: entropy range")
         a = 1.0 + 2.0 * rng.random()
         b1 = 8.0 * rng.random()
@@ -135,8 +139,9 @@ def test_criterion_5_invariance_suite():
         if not entropy_upper_bound(a, b1) < entropy_upper_bound(a, b2):
             failures.append(f"case {i}: bound monotonicity")
         cut = rng.randint(0, len(tokens))
-        merged = merge([count_frequencies(tokens[:cut]), count_frequencies(tokens[cut:])])
-        if merged.counts != table.counts:
+        halves = [" ".join(tokens[:cut]).encode(), " ".join(tokens[cut:]).encode()]
+        split = count_spectrum(map(io.BytesIO, halves))
+        if split != count_spectrum([io.BytesIO(b"\n".join(halves))]) or split != spec:
             failures.append(f"case {i}: merge/split equivalence")
     ok = not failures
     _verdict(
@@ -167,7 +172,7 @@ def test_criterion_6_round_trip(tmp_path, capsys):
             rep = json.loads(out)
             nominal = generate_spectrum(SyntheticSpec(a=a, b=b, mode="rounded_integer"))
             tokens = corpus_file.read_text().split()
-            observed = freq_of_freq(count_frequencies(tokens))
+            observed = freq_of_freq(Counter(tokens))
             if observed.points != nominal.points:
                 problems.append(f"spectrum mismatch at a={a} b={b}")
             if rep["n_tokens"] != nominal.total_tokens or rep["max_frequency"] != nominal.max_k:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -10,15 +11,8 @@ from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from conftest import random_tokens
-from zipfent.bound import (
-    _entropy_of_counts,
-    chain_check,
-    entropy,
-    entropy_from_spectrum,
-    entropy_upper_bound,
-)
-from zipfent.corpus import FrequencyTable, count_frequencies
-from zipfent.errors import BoundNotApplicableError, EmptyCorpusError
+from zipfent.bound import chain_check, entropy, entropy_upper_bound
+from zipfent.errors import BoundNotApplicableError
 from zipfent.spectrum import FreqSpectrum, freq_of_freq
 
 
@@ -35,67 +29,55 @@ ENTROPY_3_1 = 0.56233514461880835
 
 def test_entropy_uniform_is_log_n():
     for n in (2, 5, 24):
-        table = FrequencyTable.from_counts({f"w{i}": 1 for i in range(n)})
-        assert entropy(table).nats == pytest.approx(math.log(n), abs=1e-12)
+        spec = freq_of_freq({f"w{i}": 1 for i in range(n)})
+        assert entropy(spec).nats == pytest.approx(math.log(n), abs=1e-12)
 
 
 def test_entropy_degenerate_is_zero():
-    assert entropy(FrequencyTable.from_counts({"a": 7})).nats == 0.0
+    assert entropy(freq_of_freq({"a": 7})).nats == 0.0
 
 
 def test_entropy_frozen_value():
-    assert entropy(FrequencyTable.from_counts({"a": 3, "b": 1})).nats == pytest.approx(
-        ENTROPY_3_1, abs=1e-12
-    )
-
-
-def test_entropy_empty_table_rejected():
-    with pytest.raises(EmptyCorpusError):
-        entropy(count_frequencies([]))
+    assert entropy(freq_of_freq({"a": 3, "b": 1})).nats == pytest.approx(ENTROPY_3_1, abs=1e-12)
 
 
 def test_entropy_bits_conversion():
-    val = entropy(FrequencyTable.from_counts({"a": 3, "b": 1}))
+    val = entropy(freq_of_freq({"a": 3, "b": 1}))
     assert val.bits == pytest.approx(val.nats / math.log(2), abs=1e-12)
 
 
-def test_entropy_from_spectrum_uniform():
-    assert entropy_from_spectrum(FreqSpectrum.from_points({1: 16})).nats == pytest.approx(
-        math.log(16), abs=1e-12
-    )
+def test_entropy_of_spectrum_uniform():
+    assert entropy(FreqSpectrum.from_points({1: 16})).nats == pytest.approx(math.log(16), abs=1e-12)
 
 
-def test_entropy_from_spectrum_frozen_value():
-    assert entropy_from_spectrum(FreqSpectrum.from_points({3: 1, 1: 1})).nats == pytest.approx(
-        ENTROPY_3_1, abs=1e-12
-    )
+def test_entropy_of_spectrum_frozen_value():
+    assert entropy(FreqSpectrum.from_points({3: 1, 1: 1})).nats == pytest.approx(ENTROPY_3_1, abs=1e-12)
 
 
-def test_entropy_from_spectrum_two_words():
-    assert entropy_from_spectrum(FreqSpectrum.from_points({2: 2})).nats == pytest.approx(
-        math.log(2), abs=1e-12
-    )
+def test_entropy_of_spectrum_two_words():
+    assert entropy(FreqSpectrum.from_points({2: 2})).nats == pytest.approx(math.log(2), abs=1e-12)
 
 
-def test_entropy_matches_oracle_and_regrouping():
-    rng = random.Random(42)
-    for _ in range(200):
-        table = count_frequencies(random_tokens(rng))
-        nats = entropy(table).nats
-        assert nats == pytest.approx(entropy_oracle(table.counts.values()), abs=1e-12)
-        assert entropy_from_spectrum(freq_of_freq(table)).nats == pytest.approx(nats, abs=1e-12)
-
-
-def entropy_word_by_word(table):
-    """The entropy loop as it was before terms were shared per distinct count."""
-    n = table.total_tokens
+def entropy_word_by_word(counts):
+    """The entropy loop over a word -> count mapping, one term per word."""
+    n = sum(counts.values())
     terms = []
-    for c in sorted(table.counts.values()):
+    for c in sorted(counts.values()):
         p = c / n
         terms.append(-p * math.log(p))
     return math.fsum(terms) + 0.0
 
 
+def test_entropy_matches_oracle_and_the_word_by_word_sum():
+    rng = random.Random(42)
+    for _ in range(200):
+        counts = Counter(random_tokens(rng))
+        nats = entropy(freq_of_freq(counts)).nats
+        assert nats == pytest.approx(entropy_oracle(counts.values()), abs=1e-12)
+        assert nats == pytest.approx(entropy_word_by_word(counts), abs=1e-12)
+
+
+@example([33, 12, 40, 29, 29, 35, 29])
 @given(
     st.lists(
         st.one_of(
@@ -108,52 +90,54 @@ def entropy_word_by_word(table):
     )
 )
 def test_entropy_equals_the_word_by_word_sum_bit_for_bit(counts):
-    table = FrequencyTable.from_counts({f"w{i}": c for i, c in enumerate(counts)})
-    expected = entropy_word_by_word(table)
-    # build_report sums over the table's spectrum, whose points are the histogram
-    spec = freq_of_freq(table)
-    for value in (entropy(table), _entropy_of_counts(spec.points, spec.total_tokens)):
-        assert value.nats.hex() == expected.hex()
-        assert value.bits.hex() == (expected / math.log(2)).hex()
+    # an integer-valued spectrum is summed exactly and rounded once, so the
+    # library and the report agree in the last bit with fsum over the words
+    counts = {f"w{i}": c for i, c in enumerate(counts)}
+    expected = entropy_word_by_word(counts)
+    value = entropy(freq_of_freq(counts))
+    assert value.nats.hex() == expected.hex()
+    assert value.bits.hex() == (expected / math.log(2)).hex()
 
 
-@example([33, 12, 40, 29, 29, 35, 29])
-@given(
-    st.lists(
-        st.one_of(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=2**70)),
-        min_size=1,
-        max_size=60,
-    )
-)
-def test_entropy_from_spectrum_of_a_table_is_its_entropy_bit_for_bit(counts):
-    # an integer-valued spectrum is summed as the table is, so the library
-    # and the report agree in the last bit
-    table = FrequencyTable.from_counts({f"w{i}": c for i, c in enumerate(counts)})
-    assert entropy_from_spectrum(freq_of_freq(table)).nats.hex() == entropy(table).nats.hex()
-
-
-def test_entropy_from_spectrum_of_a_huge_integer_spectrum():
+def test_entropy_of_a_huge_integer_spectrum():
     # F(1) past 2**63, as a rounded synthetic law makes it: summed per distinct k
     spec = FreqSpectrum.from_points({1: 2**64, 2: 3})
     n = 2**64 + 6
     expected = math.fsum([-(2**64) * (1 / n) * math.log(1 / n), -3 * (2 / n) * math.log(2 / n)])
-    assert entropy_from_spectrum(spec).nats == pytest.approx(expected, rel=1e-15)
+    assert entropy(spec).nats == pytest.approx(expected, rel=1e-15)
+
+
+@given(st.dictionaries(st.integers(1, 10**6), st.floats(1.0, 1e9), min_size=1, max_size=40))
+def test_entropy_of_a_real_valued_spectrum_matches_a_50_digit_sum(points):
+    spec = FreqSpectrum.from_points(points)
+    with mpmath.workdps(50):
+        n = mpmath.fsum(k * mpmath.mpf(f) for k, f in points.items())
+        expected = -mpmath.fsum(f * (k / n) * mpmath.log(k / n) for k, f in points.items())
+    # F(k) >= 1 keeps every p <= 1, so every term is >= 0 and none cancels
+    assert entropy(spec).nats == pytest.approx(float(expected), rel=1e-12, abs=1e-12)
+
+
+@given(st.dictionaries(st.integers(1, 10**6), st.integers(1, 2**40), min_size=1, max_size=40))
+def test_an_integer_spectrum_and_its_float_copy_have_the_same_entropy(points):
+    # the exact integer sum and the fsum of F(k)-weighted terms agree
+    exact = entropy(FreqSpectrum.from_points(points)).nats
+    real = entropy(FreqSpectrum.from_points({k: float(f) for k, f in points.items()})).nats
+    assert real == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
 def test_entropy_range():
     rng = random.Random(43)
     for _ in range(100):
-        table = count_frequencies(random_tokens(rng))
-        nats = entropy(table).nats
-        assert -1e-12 <= nats <= math.log(table.vocab_size) + 1e-12
+        counts = Counter(random_tokens(rng))
+        nats = entropy(freq_of_freq(counts)).nats
+        assert -1e-12 <= nats <= math.log(len(counts)) + 1e-12
 
 
 @given(st.dictionaries(st.text("ab", min_size=1, max_size=3), st.integers(1, 50), min_size=1),
        st.sampled_from([2, 3, 10]))
 def test_entropy_scale_invariance(counts, c):
-    table = FrequencyTable.from_counts(counts)
-    scaled = FrequencyTable.from_counts({w: c * n for w, n in counts.items()})
-    assert entropy(scaled).nats == pytest.approx(entropy(table).nats, abs=1e-12)
+    scaled = {w: c * n for w, n in counts.items()}
+    assert entropy(freq_of_freq(scaled)).nats == pytest.approx(entropy(freq_of_freq(counts)).nats, abs=1e-12)
 
 
 def test_bound_at_slope_one_collapses_to_b_plus_1():

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import jsonschema
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from zipfent import corpus
 from zipfent.cli import main
-from zipfent.corpus import TokenizerConfig, count_frequencies
+from zipfent.corpus import TokenizerConfig
 from zipfent.report import build_report, report_json, report_json_array, report_schema
 from zipfent.spectrum import FreqSpectrum, freq_of_freq, spectrum_csv
 from zipfent.synth import SyntheticSpec, _law_k_max, generate_spectrum, spectrum_to_corpus
@@ -150,8 +151,7 @@ def test_analyze_per_file_emits_schema_valid_reports(tmp_path, capsys):
 @pytest.mark.parametrize("n", [1, 3])
 def test_report_json_array_is_report_json_of_the_list(n):
     # labels with characters JSON escapes, and one report with a fit error
-    tables = [count_frequencies("a a b b b c".split()), count_frequencies(["x"]),
-              count_frequencies("p q q r r r r".split())]
+    tables = [Counter("a a b b b c".split()), Counter(["x"]), Counter("p q q r r r r".split())]
     labels = ["caf\u00e9 \u5317.txt", 'a "b"\n\tc.txt', "-"]
     reports = [build_report(freq_of_freq(t), TokenizerConfig(), [label]) for t, label in zip(tables[:n], labels)]
     assert report_json_array([report_json(r) for r in reports]) == report_json(reports)
@@ -266,11 +266,16 @@ def test_per_file_on_every_cpu_writes_what_one_cpu_writes(tmp_path, monkeypatch,
     monkeypatch.setattr(corpus, "_cpu_count", lambda: 1)
     serial = [run_cli(capsys, *argv) for argv in argvs]
     assert fork_maps == []
+    plans = _spy_plans(monkeypatch)
     for cpus in (2, 3):
         monkeypatch.setattr(corpus, "_cpu_count", lambda: cpus)
         assert [run_cli(capsys, *argv) for argv in argvs] == serial
     # every argv but the csv one, a usage error, ran its groups in a fork map
-    assert fork_maps == [2] * 4 + [min(3, len(paths))] * 4
+    # of one share per CPU; but seed 2's two files of 237 and 1,144 bytes
+    # make one share, as each cut inside the larger moves to its end
+    shares = [2] * 4 + [min(3, len(paths))] * 4 if seed != 2 else [1] * 8
+    assert [len(plan) for plan in plans] == shares
+    assert fork_maps == [n for n in shares if n > 1]
     expected_code = {0: 2, 1: 2, 2: 0}[seed % 3]
     assert [code for code, _, _ in serial] == [expected_code, expected_code, 1, expected_code, expected_code]
 
@@ -304,6 +309,31 @@ def test_per_file_with_a_large_file_on_every_cpu_writes_what_one_cpu_writes(tmp_
         assert [run_cli(capsys, *argv) for argv in argvs] == serial
     # the bytes of the large files make one share per CPU
     assert fork_maps == [2, 2, 3, 3]
+
+
+def test_a_share_that_cuts_leave_empty_forks_no_worker(tmp_path, monkeypatch, capsys):
+    # on 3 CPUs both cuts fall inside a file just smaller than one that is
+    # cut, and move to its end: the middle share holds nothing
+    rng = random.Random(13)
+    words = ["café", "Straße", "STRASSE", "naïve", "\U0001d518x", "to", "a", "x_1", "a—b"]
+    seven, tiny1, tiny2 = (str(tmp_path / f"{name}.txt") for name in ("seven", "tiny1", "tiny2"))
+    with open(seven, "w", encoding="utf-8") as f:
+        f.write(" ".join(rng.choice(words) for _ in range(620)))
+    for path in (tiny1, tiny2):
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("a a b c c c " + rng.choice(words))
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 12)
+    assert 3 << 10 < os.path.getsize(seven) < 1 << 12
+    argv = ["analyze", "--per-file", seven, tiny1, tiny2]
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 1)
+    serial = run_cli(capsys, *argv)
+    assert serial[0] == 0
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 3)
+    fork_maps = _spy_fork_maps(monkeypatch)
+    plans = _spy_plans(monkeypatch)
+    assert run_cli(capsys, *argv) == serial
+    assert [[source for _, source, _ in share] for share in plans[0]] == [[seven], [tiny1, tiny2]]
+    assert fork_maps == [2]
 
 
 def _spy_plans(monkeypatch) -> list[list]:
@@ -479,12 +509,19 @@ def test_per_file_missing_input_in_a_fork_map_is_the_serial_io_error(tmp_path, m
         if i != missing:
             path.write_text(f"a a b c{i} café", encoding="utf-8")
         paths.append(str(path))
+    # the missing path is planned as PARALLEL_MIN_BYTES // 2 bytes, here
+    # about two files' worth, so it falls in the share of its place; at
+    # 8 MiB every cut would fall inside it and leave the children nothing
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 6)
     monkeypatch.setattr(corpus, "_cpu_count", lambda: 1)
     serial = run_cli(capsys, "analyze", "--per-file", *paths)
     monkeypatch.setattr(corpus, "_cpu_count", lambda: 3)
     fork_maps = _spy_fork_maps(monkeypatch)
+    plans = _spy_plans(monkeypatch)
     code, out, err = run_cli(capsys, "analyze", "--per-file", *paths)
     assert fork_maps == [3]
+    assert [w for w, share in enumerate(plans[0]) for _, source, _ in share if source == paths[missing]] == [
+        {0: 0, 1: 0, 10: 1, 19: 2}[missing]]
     assert (code, out, err) == serial
     assert code == 3 and out == ""
     assert err == f"zipfent: error: [Errno 2] No such file or directory: '{paths[missing]}'\n"

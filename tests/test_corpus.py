@@ -1,4 +1,4 @@
-"""Tokenizer and frequency-table behavior."""
+"""Tokenizer and counting behavior."""
 
 import bz2
 import contextlib
@@ -20,16 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_table
 from zipfent import corpus
-from zipfent.corpus import (
-    TOKEN_RULES,
-    FrequencyTable,
-    TokenizerConfig,
-    count_frequencies,
-    count_stream,
-    merge,
-    tokenize,
-)
+from zipfent.corpus import TOKEN_RULES, TokenizerConfig, count_spectrum, tokenize
+from zipfent.errors import EmptyCorpusError
 from zipfent.spectrum import freq_of_freq
 
 
@@ -72,70 +66,6 @@ def test_config_validation():
         TokenizerConfig(token_rule="bytes")
 
 
-def test_count_frequencies_hand_count():
-    table = count_frequencies(["a", "a", "b"])
-    assert table.counts == {"a": 2, "b": 1}
-    assert table.total_tokens == 3
-    assert table.max_frequency == 2
-    assert table.vocab_size == 2
-
-
-def test_count_frequencies_empty():
-    table = count_frequencies([])
-    assert table.is_empty()
-    assert table.total_tokens == 0
-    assert table.max_frequency == 0
-    assert table.vocab_size == 0
-
-
-def test_count_frequencies_single_word():
-    table = count_frequencies(["a"] * 7)
-    assert table.counts == {"a": 7}
-    assert (table.total_tokens, table.max_frequency, table.vocab_size) == (7, 7, 1)
-
-
-def test_from_counts_rejects_nonpositive_and_noninteger():
-    with pytest.raises(ValueError):
-        FrequencyTable.from_counts({"a": 0})
-    with pytest.raises(ValueError):
-        FrequencyTable.from_counts({"a": 2.5})
-
-
-def test_merge_hand_sum():
-    merged = merge(
-        [FrequencyTable.from_counts({"a": 1}), FrequencyTable.from_counts({"a": 2, "b": 1})]
-    )
-    assert merged.counts == {"a": 3, "b": 1}
-    assert merged.total_tokens == 4
-    assert merged.max_frequency == 3
-
-
-def test_merge_identity_element():
-    table = count_frequencies(["x", "y", "x"])
-    assert merge([table, count_frequencies([])]).counts == table.counts
-
-
-def test_merge_commutes():
-    t1 = count_frequencies(["x", "y", "x"])
-    t2 = count_frequencies(["y", "z"])
-    assert merge([t1, t2]).counts == merge([t2, t1]).counts
-
-
-@given(st.lists(st.sampled_from("abcdef"), max_size=200))
-def test_token_conservation(tokens):
-    assert count_frequencies(tokens).total_tokens == len(tokens)
-
-
-@given(
-    st.lists(st.sampled_from(["a", "b", "c", "dd"]), max_size=80),
-    st.integers(min_value=0, max_value=80),
-)
-def test_merge_equals_counting_the_concatenation(tokens, cut):
-    cut = min(cut, len(tokens))
-    merged = merge([count_frequencies(tokens[:cut]), count_frequencies(tokens[cut:])])
-    assert merged.counts == count_frequencies(tokens).counts
-
-
 @given(st.text(max_size=200))
 def test_tokenize_deterministic(text):
     config = TokenizerConfig()
@@ -172,35 +102,94 @@ _configs = st.builds(
 )
 
 
-def _one_shot(data: bytes, config: TokenizerConfig) -> dict[str, int]:
-    return count_frequencies(tokenize(data.decode("utf-8", "replace"), config)).counts
+def _one_shot(data: bytes, config: TokenizerConfig) -> Counter[str]:
+    return Counter(tokenize(data.decode("utf-8", "replace"), config))
 
 
 @given(_stream_bytes, _configs)
-def test_count_stream_equals_one_shot_count_at_every_chunk_size(data, config):
+def test_counting_equals_one_shot_count_at_every_chunk_size(data, config):
     expected = _one_shot(data, config)
     for chunk_size in range(1, len(data) + 2):
         with mock.patch.object(corpus, "CHUNK_SIZE", chunk_size):
-            assert count_stream([io.BytesIO(data)], config).counts == expected
+            assert count_table([io.BytesIO(data)], config) == expected
 
 
 @given(st.lists(_stream_bytes, min_size=1, max_size=4), _configs)
-def test_count_stream_pools_files_like_their_newline_joined_concatenation(parts, config):
+def test_counting_pools_files_like_their_newline_joined_concatenation(parts, config):
     # files are separate texts: no word or byte sequence runs from one into
     # the next, which is what joining them with a newline gives
     expected = _one_shot(b"\n".join(parts), config)
     for chunk_size in range(1, max(map(len, parts)) + 2):
         files = [io.BytesIO(p) for p in parts]
         with mock.patch.object(corpus, "CHUNK_SIZE", chunk_size):
-            assert count_stream(files, config).counts == expected
+            assert count_table(files, config) == expected
 
 
-def test_count_stream_hand_count_across_chunk_edges(monkeypatch):
+def test_counting_hand_count_across_chunk_edges(monkeypatch):
     data = "Stra\u00dfe STRASSE caf\u00e9\u0301 x".encode("utf-8")
     monkeypatch.setattr(corpus, "CHUNK_SIZE", 3)
-    table = count_stream([io.BytesIO(data)], TokenizerConfig())
-    assert table.counts == {"strasse": 2, "café": 1, "x": 1}
-    assert count_stream([], TokenizerConfig()).is_empty()
+    table = count_table([io.BytesIO(data)], TokenizerConfig())
+    assert table == {"strasse": 2, "café": 1, "x": 1}
+    assert count_spectrum([io.BytesIO(data)]) == freq_of_freq(table)
+    assert count_table([]) == {}
+    with pytest.raises(EmptyCorpusError):
+        count_spectrum([])
+
+
+@pytest.mark.parametrize("token_rule", TOKEN_RULES)
+def test_count_spectrum_hand_count(token_rule):
+    # the: 3, and: 2, cat, dog, end: 1
+    spec = count_spectrum([io.BytesIO(b"The cat and the dog and THE end")], TokenizerConfig(token_rule=token_rule))
+    assert spec.points == {1: 3, 2: 1, 3: 1}
+    assert (spec.total_tokens, spec.max_k) == (8, 3)
+
+
+def test_count_spectrum_single_word():
+    spec = count_spectrum([io.BytesIO(b"a " * 7)])
+    assert (spec.points, spec.total_tokens, spec.max_k) == ({7: 1}, 7, 7)
+
+
+@pytest.mark.parametrize("min_token_length, expected", [
+    (1, {1: 1, 2: 1, 3: 1}), (2, {2: 1, 3: 1}), (3, {3: 1}), (4, None),
+])
+def test_count_spectrum_drops_words_shorter_than_the_minimum(min_token_length, expected):
+    data = io.BytesIO(b"a bb ccc bb ccc ccc")
+    config = TokenizerConfig(min_token_length=min_token_length)
+    if expected is None:
+        with pytest.raises(EmptyCorpusError):
+            count_spectrum([data], config)
+    else:
+        assert count_spectrum([data], config).points == expected
+
+
+@pytest.mark.parametrize("parts", [[], [b""], [b" \n\t "], [b"", b"-- ... !?"]])
+def test_count_spectrum_of_files_with_no_word_raises_empty_corpus_error(parts):
+    with pytest.raises(EmptyCorpusError):
+        count_spectrum([io.BytesIO(p) for p in parts])
+
+
+@given(st.lists(st.sampled_from(["a", "b", "c", "dd"]), min_size=1, max_size=200))
+def test_count_spectrum_conserves_tokens(tokens):
+    spec = count_spectrum([io.BytesIO(" ".join(tokens).encode())])
+    assert spec.total_tokens == len(tokens)
+    assert sum(spec.points.values()) == len(set(tokens))
+    assert spec.max_k == max(Counter(tokens).values())
+
+
+@given(
+    st.lists(st.sampled_from(["a", "b", "c", "dd"]), min_size=1, max_size=40),
+    st.lists(st.sampled_from(["a", "b", "c", "dd"]), max_size=40),
+)
+def test_count_spectrum_of_two_files_commutes(first, second):
+    a, b = (" ".join(tokens).encode() for tokens in (first, second))
+    assert count_spectrum([io.BytesIO(a), io.BytesIO(b)]) == count_spectrum([io.BytesIO(b), io.BytesIO(a)])
+
+
+def test_count_spectrum_with_an_empty_file_added_is_unchanged():
+    expected = count_spectrum([io.BytesIO(b"x y x")])
+    assert expected.points == {1: 1, 2: 1}
+    assert count_spectrum([io.BytesIO(b"x y x"), io.BytesIO(b"")]) == expected
+    assert count_spectrum([io.BytesIO(b""), io.BytesIO(b"x y x")]) == expected
 
 
 @pytest.mark.parametrize("text", [
@@ -214,30 +203,30 @@ def test_count_stream_hand_count_across_chunk_edges(monkeypatch):
     "\u0130x a a a a a i\u0307x q",
 ])
 @pytest.mark.parametrize("token_rule", TOKEN_RULES)
-def test_count_stream_folds_words_that_cross_into_or_out_of_an_unfolded_chunk(monkeypatch, text, token_rule):
+def test_counting_folds_words_that_cross_into_or_out_of_an_unfolded_chunk(monkeypatch, text, token_rule):
     data = text.encode("utf-8")
     config = TokenizerConfig(token_rule=token_rule)
     expected = _one_shot(data, config)
     assert len(expected) > 1
     for chunk_size in range(1, len(data) + 2):
         monkeypatch.setattr(corpus, "CHUNK_SIZE", chunk_size)
-        assert count_stream([io.BytesIO(data)], config).counts == expected
+        assert count_table([io.BytesIO(data)], config) == expected
 
 
 @pytest.mark.parametrize(
     "data", [b"x" * (1 << 21), "\u5317".encode("utf-8") * 700_000], ids=["ascii", "three_byte"]
 )
 @pytest.mark.parametrize("token_rule", TOKEN_RULES)
-def test_count_stream_counts_a_long_token_in_linear_time(monkeypatch, data, token_rule):
+def test_counting_counts_a_long_token_in_linear_time(monkeypatch, data, token_rule):
     # one token of 2 MiB read in 64-byte chunks, which cut the three-byte
     # sequences of U+5317; re-joining and re-folding the token with every
     # chunk would take seconds
     config = TokenizerConfig(token_rule=token_rule)
     monkeypatch.setattr(corpus, "CHUNK_SIZE", 64)
     start = time.perf_counter()
-    table = count_stream([io.BytesIO(data)], config)
+    table = count_table([io.BytesIO(data)], config)
     assert time.perf_counter() - start < 2
-    assert table.counts == _one_shot(data, config)
+    assert table == _one_shot(data, config)
 
 
 def test_fold_splits_holds_every_character_whose_case_fold_changes_its_word_runs():
@@ -317,7 +306,7 @@ def test_byte_ranges_count_to_the_count_of_the_whole_file(prefix, data, config, 
     assert ranges[0][0] == start and ranges[-1][1] == end
     for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
         assert hi == lo and (lo == end or data[lo - start] in _ASCII_WHITESPACE)
-    assert total == count_stream([io.BytesIO(data)], config).counts == _one_shot(data, config)
+    assert total == count_table([io.BytesIO(data)], config) == _one_shot(data, config)
 
 
 @pytest.mark.parametrize("token_rule", TOKEN_RULES)
@@ -363,7 +352,7 @@ def test_byte_ranges_of_a_file_without_ascii_whitespace_is_one_range(tmp_path, m
         shares = corpus._plan([[f]])
         assert len(shares) == 4
         assert _ranges(shares, f) == [(0, len(data))] + [(len(data), len(data))] * 3
-        assert count_stream([f]).counts == {"wörd": 4000, "nächstes": 4000, "wort": 4000}
+        assert count_table([f]) == {"wörd": 4000, "nächstes": 4000, "wort": 4000}
 
 
 @pytest.mark.parametrize("lowercase", [True, False])
@@ -379,10 +368,10 @@ def test_a_file_separated_only_by_tabs_and_crs_is_cut_into_ranges(tmp_path, monk
     config = TokenizerConfig(lowercase=lowercase, token_rule=token_rule)
     with open(path, "rb") as f:
         ranges = _ranges(corpus._plan([[f]]), f)
-        table = count_stream([f], config)
+        table = count_table([f], config)
     assert len(ranges) == 3
     assert all(data[lo] in b"\t\r" for lo, _ in ranges[1:])
-    assert table.counts == _one_shot(data, config)
+    assert table == _one_shot(data, config)
 
 
 @pytest.mark.parametrize("offset", [0, corpus.CHUNK_SIZE - 1, corpus.CHUNK_SIZE, None])
@@ -411,7 +400,7 @@ def _split_in_three(monkeypatch):
     monkeypatch.setattr(corpus, "_cpu_count", lambda: 3)
 
 
-def test_count_stream_in_workers_counts_from_the_position_and_leaves_f_at_its_end(tmp_path, monkeypatch):
+def test_counting_in_workers_counts_from_the_position_and_leaves_f_at_its_end(tmp_path, monkeypatch):
     data = _random_text(1, 4000)
     path = tmp_path / "big.txt"
     path.write_bytes(data)
@@ -420,9 +409,12 @@ def test_count_stream_in_workers_counts_from_the_position_and_leaves_f_at_its_en
         f.read(7)
         assert [[span[:2] for _, _, span in share] for share in corpus._plan([[f]])][0] == [(7, 7)]
         assert len(_ranges(corpus._plan([[f]]), f)) == 3
-        table = count_stream([f])
+        table = count_table([f])
         assert f.tell() == len(data)
-    assert table.counts == count_stream([io.BytesIO(data[7:])]).counts
+        f.seek(7)
+        assert count_spectrum([f]) == freq_of_freq(table)
+        assert f.tell() == len(data)
+    assert table == count_table([io.BytesIO(data[7:])])
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -448,9 +440,9 @@ def test_pooled_ranges_and_stream_pieces_count_to_the_tokens_of_their_join(tmp_p
         assert len(_ranges(shares, f)) == len(shares) == cpus
         assert (0, buffer, None) in shares[0]
         monkeypatch.setattr(corpus, "CHUNK_SIZE", 64)
-        table = count_stream([f, buffer], config)
+        table = count_table([f, buffer], config)
         assert buffer.read() == b""
-    assert table.counts == _one_shot(big + b"\n" + stream, config)
+    assert table == _one_shot(big + b"\n" + stream, config)
 
 
 @pytest.mark.parametrize("min_token_length", [1, 3])
@@ -476,8 +468,8 @@ def test_a_childs_table_crosses_the_pipe_in_batches(tmp_path, monkeypatch, lower
         batches = pickle.loads(pickle.dumps(corpus._RangeTable(corpus._count_part(shares[2], config))))
         assert len(batches) > 1
         assert min(len(word) for words, _ in batches for word in words.split(" ")) >= min_token_length
-        table = count_stream([f], config)
-    assert table.counts == _one_shot(data, config)
+        table = count_table([f], config)
+    assert table == _one_shot(data, config)
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -495,11 +487,11 @@ def test_the_ranges_of_two_large_files_pool_into_a_counter_that_pickles_as_itsel
         assert len(shares) == cpus
         # with 3 CPUs the middle share holds a range of each
         assert len(_ranges(shares, f)) == len(_ranges(shares, g)) == (cpus + 1) // 2
-        table = count_stream([f, g])
-    assert table.counts == _one_shot(b"\n".join(texts), TokenizerConfig())
-    assert type(table.counts) is Counter
+        table = count_table([f, g])
+    assert table == _one_shot(b"\n".join(texts), TokenizerConfig())
+    assert type(table) is Counter
     copy = pickle.loads(pickle.dumps(table))
-    assert type(copy.counts) is Counter and copy == table
+    assert type(copy) is Counter and copy == table
 
 
 # words that fold onto one another, a fold-split one and short ones, so that
@@ -522,7 +514,7 @@ def _spectrum_text(rng: random.Random, words: int) -> bytes:
                      token_rule=st.sampled_from(TOKEN_RULES)),
     separators=st.booleans(),
 )
-def test_count_spectrum_is_the_spectrum_of_count_stream(tmp_path_factory, seed, cpus, config, separators):
+def test_count_spectrum_is_the_spectrum_of_the_word_table(tmp_path_factory, seed, cpus, config, separators):
     # two large files and a small file in one pooled group, cut into up to 4
     # shares: with 3 or more a group's last child takes up the batches held
     # from the child before it.  With separators and 3 or more shares a
@@ -542,11 +534,11 @@ def test_count_spectrum_is_the_spectrum_of_count_stream(tmp_path_factory, seed, 
             assert len(shares) == cpus
             if separators and cpus >= 3:
                 assert any(not re.search(r"\w", first[lo:hi].decode("utf-8")) for lo, hi in _ranges(shares, files[0]))
-            (spec,) = corpus._count_groups([files], config, _spectrum)
+            spec = count_spectrum(files, config)
         with contextlib.ExitStack() as stack:
-            table = count_stream([stack.enter_context(open(path, "rb")) for path in paths], config)
+            table = count_table([stack.enter_context(open(path, "rb")) for path in paths], config)
     assert spec == freq_of_freq(table)
-    assert table.counts == _one_shot(b"\n".join(texts), config)
+    assert table == _one_shot(b"\n".join(texts), config)
 
 
 def _spectrum(g, counts, held):
@@ -565,13 +557,16 @@ def test_count_spectrum_of_words_all_shorter_than_the_minimum_is_none(tmp_path, 
     with open(path, "rb") as f:
         assert len(_ranges(corpus._plan([[f]]), f)) == cpus
         assert corpus._count_groups([[f]], config, _spectrum) == [None]
+        f.seek(0)
+        with pytest.raises(EmptyCorpusError):
+            count_spectrum([f], config)
 
 
 def test_a_large_file_is_one_range_counted_in_process_where_no_fork_may_start(tmp_path, monkeypatch):
     data = _random_text(4, 4000)
     path = tmp_path / "big.txt"
     path.write_bytes(data)
-    expected = count_stream([io.BytesIO(data[7:])]).counts
+    expected = count_table([io.BytesIO(data[7:])])
     _split_in_three(monkeypatch)
     monkeypatch.setattr(corpus, "_can_fork", lambda: False)
 
@@ -583,7 +578,7 @@ def test_a_large_file_is_one_range_counted_in_process_where_no_fork_may_start(tm
     with open(path, "rb") as f:
         f.read(7)
         assert corpus._plan([[f]]) == [[(0, f, (7, 7, len(data), len(data)))]]
-        assert count_stream([f]).counts == expected
+        assert count_table([f]) == expected
         assert f.tell() == len(data)
 
 
@@ -631,11 +626,11 @@ def test_small_files_pooled_into_a_large_table_count_byte_tokens(tmp_path, monke
 
     monkeypatch.setattr(corpus, "_count_into", count_into)
     with contextlib.ExitStack() as stack:
-        table = count_stream([stack.enter_context(open(path, "rb")) for path in paths], config)
+        table = count_table([stack.enter_context(open(path, "rb")) for path in paths], config)
     assert pieces == []
-    assert table.counts == _one_shot(b"\n".join(texts), config)
+    assert table == _one_shot(b"\n".join(texts), config)
     with open(paths[0], "rb") as f:
-        assert count_stream([f], config).counts == _one_shot(texts[0], config)
+        assert count_table([f], config) == _one_shot(texts[0], config)
     assert pieces == [1]
 
 
@@ -650,15 +645,15 @@ def test_a_compressed_file_is_counted_in_process(tmp_path, monkeypatch, codec):
     assert path.stat().st_size >= 2 * corpus.PARALLEL_MIN_BYTES
     with codec.open(path, "rb") as f:
         assert corpus._plan([[f]]) == [[(0, f, None)]]
-        assert count_stream([f]).counts == count_stream([io.BytesIO(data)]).counts
+        assert count_table([f]) == count_table([io.BytesIO(data)])
 
 
 def _count_file(path: str) -> dict[str, int]:
     with open(path, "rb") as f:
-        return count_stream([f]).counts
+        return count_table([f])
 
 
-def test_count_stream_runs_in_a_pool_worker(tmp_path, monkeypatch):
+def test_counting_runs_in_a_pool_worker(tmp_path, monkeypatch):
     # a pool's workers are daemonic and may not start processes of their own
     data = _random_text(3, 4000)
     path = tmp_path / "big.txt"
@@ -666,7 +661,7 @@ def test_count_stream_runs_in_a_pool_worker(tmp_path, monkeypatch):
     _split_in_three(monkeypatch)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         (counts,) = pool.map(_count_file, [str(path)])
-    assert counts == count_stream([io.BytesIO(data)]).counts
+    assert counts == count_table([io.BytesIO(data)])
 
 
 def _assert_no_child_left():

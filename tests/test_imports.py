@@ -11,13 +11,12 @@ import pytest
 import zipfent
 import zipfent.cli
 
-# The public API, as the package listed it when it imported every submodule
+# The public API
 PUBLIC = {
     "BoundNotApplicableError", "ChainDiagnostics", "EmptyCorpusError", "EntropyValue", "FreqSpectrum",
-    "FrequencyTable", "InequalityResult", "InsufficientPointsError", "PowerLawFit", "SweepRow",
-    "SyntheticSpec", "TokenizerConfig", "build_report", "chain_check", "count_frequencies", "count_stream",
-    "entropy", "entropy_from_spectrum", "entropy_upper_bound", "fit_loglog", "freq_of_freq",
-    "generate_spectrum", "merge", "read_text", "report_json", "report_schema", "report_text",
+    "InequalityResult", "InsufficientPointsError", "PowerLawFit", "SweepRow", "SyntheticSpec",
+    "TokenizerConfig", "build_report", "chain_check", "count_spectrum", "entropy", "entropy_upper_bound",
+    "fit_loglog", "freq_of_freq", "generate_spectrum", "report_json", "report_schema", "report_text",
     "spectrum_csv", "spectrum_to_corpus", "sweep", "sweep_csv", "tokenize",
 }
 
@@ -134,11 +133,11 @@ def test_public_names_are_unchanged_and_resolve_to_their_defining_module():
         assert getattr(sys.modules[obj.__module__], name) is obj
         assert obj.__module__.startswith("zipfent.")
         assert namespace[name] is obj
-    from zipfent import SyntheticSpec, count_stream
-    from zipfent.corpus import count_stream as defined
+    from zipfent import SyntheticSpec, count_spectrum
+    from zipfent.corpus import count_spectrum as defined
     from zipfent.synth import SyntheticSpec as defined_class
 
-    assert (count_stream, SyntheticSpec) == (defined, defined_class)
+    assert (count_spectrum, SyntheticSpec) == (defined, defined_class)
 
 
 def test_dir_covers_every_public_name_before_any_is_loaded():
@@ -159,11 +158,36 @@ def test_unknown_names_raise_attribute_error():
     assert not hasattr(zipfent.cli, "sweep")
 
 
+def test_bench_tracer_installs_in_a_fresh_interpreter():
+    # bench/tracer.py wraps names on zipfent.cli, zipfent.report and
+    # zipfent.synth that no command calls; each must resolve, or a traced
+    # benchmark run fails before it starts
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    code = f"import sys\nsys.path.insert(0, {bench!r})\nimport tracer\ntracer.install(tracer.Tracer())"
+    subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+
+
 @pytest.mark.parametrize("name", ["read_text", "tokenize", "count_frequencies", "merge", "build_report", "report_json"])
 def test_the_names_bench_tracer_wraps_on_cli_resolve(name):
-    assert getattr(zipfent.cli, name) is getattr(zipfent, name)
+    resolved = getattr(zipfent.cli, name)
+    if name in zipfent.__all__:
+        assert resolved is getattr(zipfent, name)
+    else:
+        # a name the package no longer has resolves to a stub that raises if called
+        assert not hasattr(zipfent, name)
+        with pytest.raises(NotImplementedError):
+            resolved()
 
 
 @pytest.mark.parametrize("name", ["freq_of_freq", "entropy", "fit_loglog", "chain_check"])
 def test_the_names_bench_tracer_wraps_on_report_resolve(name):
     assert getattr(zipfent.report, name) is getattr(zipfent, name)
+
+
+@pytest.mark.parametrize("name, defined", [
+    ("entropy_from_spectrum", "entropy"), ("spectrum_to_corpus", "spectrum_to_corpus"), ("chain_check", "chain_check"),
+])
+def test_the_names_bench_tracer_wraps_on_synth_resolve(name, defined):
+    import zipfent.synth
+
+    assert getattr(zipfent.synth, name) is getattr(zipfent, defined)

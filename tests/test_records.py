@@ -11,7 +11,7 @@ import pickle
 import pytest
 
 from zipfent.bound import ChainDiagnostics, EntropyValue, InequalityResult
-from zipfent.corpus import FrequencyTable, TokenizerConfig
+from zipfent.corpus import TokenizerConfig
 from zipfent.fit import PowerLawFit
 from zipfent.spectrum import FreqSpectrum
 from zipfent.synth import SweepRow, SyntheticSpec, sweep_csv
@@ -34,10 +34,6 @@ RECORDS = {
     TokenizerConfig: (
         {"lowercase": True, "min_token_length": 1, "token_rule": "unicode_words"}, (False, 2, "whitespace"),
     ),
-    FrequencyTable: (
-        dict.fromkeys(["counts", "total_tokens", "max_frequency", "vocab_size"], NO_DEFAULT),
-        ({"a": 2, "b": 1}, 3, 2, 2),
-    ),
     PowerLawFit: (
         dict.fromkeys(["a", "b", "rmse", "points_used", "k_min", "k_max"], NO_DEFAULT),
         (1.25, 3.5, 0.01, 5, 1, 9),
@@ -52,7 +48,7 @@ RECORDS = {
         (1.0, 4.0, 120.5, 54, 3.0, 4.0, 1.0, 0.0, -0.0, 0.5, 0.125, None),
     ),
 }
-HASHABLE = [cls for cls in RECORDS if cls not in (FrequencyTable, FreqSpectrum)]
+HASHABLE = [cls for cls in RECORDS if cls is not FreqSpectrum]
 
 
 def make(cls):
@@ -157,10 +153,9 @@ def test_equal_records_hash_equal(cls):
     assert len({make(cls), make(cls)}) == 1
 
 
-@pytest.mark.parametrize("cls", [FreqSpectrum, FrequencyTable])
-def test_a_record_holding_a_dict_is_unhashable(cls):
+def test_a_record_holding_a_dict_is_unhashable():
     with pytest.raises(TypeError, match="unhashable"):
-        hash(make(cls))
+        hash(make(FreqSpectrum))
 
 
 def test_repr():

@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from conftest import random_tokens
-from zipfent.corpus import FrequencyTable, count_frequencies
 from zipfent.errors import EmptyCorpusError
 from zipfent import spectrum
 from zipfent.spectrum import FreqSpectrum, freq_of_freq, spectrum_csv
@@ -14,24 +13,31 @@ from zipfent.synth import SyntheticSpec, generate_spectrum
 
 
 def test_freq_of_freq_hand_enumeration():
-    spec = freq_of_freq(FrequencyTable.from_counts({"a": 3, "b": 2, "c": 1}))
+    spec = freq_of_freq({"a": 3, "b": 2, "c": 1})
     assert spec.points == {1: 1, 2: 1, 3: 1}
     assert spec.total_tokens == 6
     assert spec.max_k == 3
 
 
 def test_freq_of_freq_singleton():
-    assert freq_of_freq(FrequencyTable.from_counts({"a": 5})).points == {5: 1}
+    assert freq_of_freq({"a": 5}).points == {5: 1}
 
 
 def test_freq_of_freq_uniform_corpus():
-    table = FrequencyTable.from_counts({f"w{i}": 1 for i in range(9)})
-    assert freq_of_freq(table).points == {1: 9}
+    assert freq_of_freq({f"w{i}": 1 for i in range(9)}).points == {1: 9}
 
 
-def test_freq_of_freq_rejects_empty_table():
-    with pytest.raises(EmptyCorpusError):
-        freq_of_freq(count_frequencies([]))
+@pytest.mark.parametrize("counts, error", [
+    ({}, EmptyCorpusError),
+    ({"a": 0}, ValueError),
+    ({"a": 2, "b": -1}, ValueError),
+    ({"a": 2.5}, ValueError),
+    ({"a": "2"}, ValueError),
+    ({"a": None}, ValueError),
+])
+def test_freq_of_freq_refuses_an_empty_mapping_or_a_count_that_is_not_a_positive_int(counts, error):
+    with pytest.raises(error):
+        freq_of_freq(counts)
 
 
 def test_from_points_validation():
@@ -61,30 +67,30 @@ def test_from_points_refuses_a_spectrum_whose_f_or_token_total_is_not_a_finite_f
 def test_conservation_on_random_corpora():
     rng = random.Random(7)
     for _ in range(100):
-        table = count_frequencies(random_tokens(rng, max_tokens=400, alphabet=30))
-        spec = freq_of_freq(table)
-        assert sum(k * f for k, f in spec.points.items()) == table.total_tokens
-        assert sum(spec.points.values()) == table.vocab_size
-        assert spec.max_k == max(spec.points) == table.max_frequency
+        tokens = random_tokens(rng, max_tokens=400, alphabet=30)
+        counts = Counter(tokens)
+        spec = freq_of_freq(counts)
+        assert sum(k * f for k, f in spec.points.items()) == len(tokens) == spec.total_tokens
+        assert sum(spec.points.values()) == len(counts)
+        assert spec.max_k == max(spec.points) == max(counts.values())
 
 
-def test_freq_of_freq_equals_the_validated_spectrum():
-    # freq_of_freq skips from_points, whose checks and sums its points pass
+def test_the_spectrum_of_a_histogram_equals_the_validated_spectrum():
+    # _from_histogram, which the analyze command finishes with, skips
+    # from_points, whose checks and sums its points pass
     rng = random.Random(5)
     for _ in range(50):
-        table = count_frequencies(random_tokens(rng, max_tokens=400, alphabet=30))
-        spec = freq_of_freq(table)
-        assert spec == FreqSpectrum.from_points(dict(Counter(table.counts.values())))
+        hist = Counter(Counter(random_tokens(rng, max_tokens=400, alphabet=30)).values())
+        spec = spectrum._from_histogram(hist)
+        assert spec == FreqSpectrum.from_points(dict(hist))
         assert list(spec.points) == sorted(spec.points)
 
 
 def test_invariant_under_word_relabeling():
     rng = random.Random(11)
-    table = count_frequencies(random_tokens(rng, max_tokens=300, alphabet=20))
-    relabeled = FrequencyTable.from_counts(
-        {f"q{i}": c for i, (_, c) in enumerate(sorted(table.counts.items()))}
-    )
-    assert freq_of_freq(relabeled).points == freq_of_freq(table).points
+    counts = Counter(random_tokens(rng, max_tokens=300, alphabet=20))
+    relabeled = {f"q{i}": c for i, (_, c) in enumerate(sorted(counts.items()))}
+    assert freq_of_freq(relabeled).points == freq_of_freq(counts).points
 
 
 def test_csv_export_ascending_k():

@@ -5,6 +5,7 @@ import io
 import math
 import os
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import mpmath
@@ -13,9 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zipfent import synth
-from zipfent.bound import chain_check, entropy_from_spectrum, entropy_upper_bound
+from zipfent.bound import chain_check, entropy, entropy_upper_bound
 from zipfent.cli import _MODE_NAMES, main
-from zipfent.corpus import count_frequencies
 from zipfent.errors import InsufficientPointsError
 from zipfent.fit import fit_loglog
 from zipfent.spectrum import FreqSpectrum, freq_of_freq, spectrum_csv
@@ -76,7 +76,7 @@ def assert_same_spectrum(new: FreqSpectrum, old: FreqSpectrum, a: float, b: floa
     assert type(new.total_tokens) is type(old.total_tokens)
     assert new.total_tokens == old.total_tokens
     assert new.max_k == old.max_k
-    assert entropy_from_spectrum(new).nats == entropy_from_spectrum(old).nats
+    assert entropy(new).nats == entropy(old).nats
     assert chain_check(new, a, b) == chain_check(old, a, b)
     assert fit_or_error(new) == fit_or_error(old)
     assert "".join(spectrum_csv(new)) == "".join(spectrum_csv(old))  # repr of every value: types too
@@ -133,7 +133,7 @@ def test_domain_ends_where_law_reaches_one():
 
 
 def test_corpus_single_repeated_word():
-    assert spectrum_to_corpus(freq_of_freq(count_frequencies(["x", "x"]))) == ["w0", "w0"]
+    assert spectrum_to_corpus(freq_of_freq(Counter(["x", "x"]))) == ["w0", "w0"]
 
 
 def test_corpus_round_trip_small():
@@ -143,14 +143,14 @@ def test_corpus_round_trip_small():
     tokens = spectrum_to_corpus(spec)
     assert len(tokens) == 5
     assert len(set(tokens)) == 3
-    assert freq_of_freq(count_frequencies(tokens)).points == spec.points
+    assert freq_of_freq(Counter(tokens)).points == spec.points
 
 
 def test_corpus_round_trip_generated():
     spec = generate_spectrum(SyntheticSpec(a=1.0, b=math.log(4), mode="rounded_integer"))
     tokens = spectrum_to_corpus(spec)
     assert len(tokens) == 15
-    assert freq_of_freq(count_frequencies(tokens)).points == spec.points
+    assert freq_of_freq(Counter(tokens)).points == spec.points
 
 
 def test_corpus_rejects_real_valued_spectrum():
@@ -164,7 +164,7 @@ def test_round_trip_identity_across_grid():
         for b in (2.0, 4.0):
             spec = generate_spectrum(SyntheticSpec(a=a, b=b, mode="rounded_integer"))
             tokens = spectrum_to_corpus(spec)
-            assert freq_of_freq(count_frequencies(tokens)).points == spec.points
+            assert freq_of_freq(Counter(tokens)).points == spec.points
 
 
 def test_fit_recovers_generator_parameters():
@@ -188,7 +188,7 @@ def test_entropy_never_exceeds_ceiling_on_exact_spectra():
     for a in (1.0, 1.25, 1.5, 2.0, 3.0):
         for b in (0.5, 2.0, 4.0, 6.0, 8.0):
             spec = generate_spectrum(SyntheticSpec(a=a, b=b, mode="exact_real"))
-            assert entropy_from_spectrum(spec).nats <= entropy_upper_bound(a, b)
+            assert entropy(spec).nats <= entropy_upper_bound(a, b)
 
 
 @settings(deadline=None)
@@ -377,10 +377,10 @@ def test_generate_corpus_refuses_before_building_the_spectrum(monkeypatch):
 
 def generic_cell(a, b, mode, k_cap):
     """A sweep cell the way sweep built it before its closed form: the whole law
-    spectrum, then entropy_from_spectrum and chain_check over every point."""
+    spectrum, then entropy and chain_check over every point."""
     spec = generate_spectrum(SyntheticSpec(a=a, b=b, mode=mode, k_cap=k_cap))
     chain = chain_check(spec, a, b)
-    ent = entropy_from_spectrum(spec).nats
+    ent = entropy(spec).nats
     bound = entropy_upper_bound(a, b)
     return synth.SweepRow(
         a, b, spec.total_tokens, spec.max_k, ent, bound, bound - ent,
