@@ -121,13 +121,12 @@ def _cmd_analyze(args) -> int:
     inputs = args.paths or [sys.stdin.buffer]
     groups = [[p] for p in inputs] if args.per_file else [inputs]
 
-    def report_group(g: int, counts, held) -> tuple[str, str | None, str | None]:
-        """(label, output, fit error) of group g, made in the process that counted its last share.
+    def report_group(g: int, spec) -> tuple[str, str | None, str | None]:
+        """(label, output, fit error) of group g, made where its spectrum is made.
 
         The output is the report rendered in the chosen format, or the
         spectrum for csv; it is None when the group has no words.
         """
-        spec = corpus._spectrum(counts, held)
         labels = groups[g] if args.paths else ["-"]
         if spec is None:
             return labels[0], None, None

@@ -18,23 +18,30 @@ files, count raw byte tokens and convert each distinct one once
 input is decoded piece by piece, folded whole and split at whitespace.
 
 A group that lies wholly in one share is finished in the process that
-counted it.  A group cut across shares is merged in this process
-(``_count_groups``), and the last child's table is folded straight into the
-spectrum F(k) (``_spectrum``).
+counted it.  The words of a group cut across shares are routed as they are
+made (``_count_part``): each of its shares owns the words whose hash falls
+to it, keeps the table of those and sends the others to their owners in
+batches, relayed by this process (``_fork_map``).  Each owner adds the
+batches it receives and reduces its table to a histogram of counts
+(``_histogram``), and this process sums the group's histograms into the
+spectrum F(k) (``_spectrum``).  So no process holds a cut group's whole
+vocabulary, nor does this one fold the others' tables.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import pickle
 import re
 import stat
 import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, compress, filterfalse, groupby, islice, repeat
-from operator import add, itemgetter, not_
+from itertools import chain, compress, filterfalse, groupby, repeat
+from operator import add, itemgetter, mod, not_
 
+from ._exchange import fork_map as _fork_map
 from ._record import Record
 from .errors import EmptyCorpusError
 from .spectrum import FreqSpectrum, _from_histogram
@@ -76,8 +83,8 @@ CHUNK_SIZE = 1 << 17
 PARALLEL_MIN_BYTES = 8 << 20
 MAX_WORKERS = 8
 
-# Byte tokens converted to words at a time by _words_of_tokens, and words
-# in each batch of a _RangeTable that a forked child sends.
+# Byte tokens converted to words at a time by _words_of_tokens, each batch
+# of which is routed to the words' owners as one.
 _CONVERT_BATCH = 1 << 14
 
 
@@ -142,70 +149,89 @@ def count_spectrum(files: Iterable[BinaryIO], config: TokenizerConfig = DEFAULT_
     whole in this process.  Each file is left at its end.  Files with no
     word raise ``EmptyCorpusError``.
     """
-    spec = _count_groups([list(files)], config, lambda g, counts, held: _spectrum(counts, held))[0]
+    spec = _count_groups([list(files)], config, lambda g, spec: spec)[0]
     if spec is None:
         raise EmptyCorpusError("empty corpus")
     return spec
 
 
-def _spectrum(counts: Counter[str], held: list[tuple[str, list[int]]]) -> FreqSpectrum | None:
-    """``freq_of_freq`` of counts plus the batches held, or None where no word is counted.
+def _histogram(table: Counter[str]) -> Counter[int]:
+    """The histogram of a table's counts, which maps each count k to the number of words counted k times.
 
-    Each word of the batches takes its count out of counts, so no table
-    grows for the last child's share.
+    The one step that reduces the table an owner holds, or a whole group's.
     """
-    hist: Counter[int] = Counter()
-    while held:
-        words, ns = held.pop()
-        hist.update(map(add, map(counts.pop, words.split(" "), repeat(0)), ns))
-    hist.update(counts.values())
-    return _from_histogram(hist) if hist else None
+    return Counter(table.values())
+
+
+def _spectrum(hists: Iterable[Counter[int]]) -> FreqSpectrum | None:
+    """The spectrum F(k) of the sum of a group's histograms, or None where they count no word."""
+    total: Counter[int] = Counter()
+    for hist in hists:
+        total.update(hist)
+    return _from_histogram(total) if total else None
 
 
 def _count_groups(groups: list[list[Any]], config: TokenizerConfig, finish: Callable[..., Any]) -> list[Any]:
-    """finish(g, counts, held) for each group g of inputs (paths or open binary files), in group order.
+    """finish(g, spectrum or None) for each group g of inputs (paths or open binary files), in group order.
 
-    Each share of ``_plan`` is one job of a ``_fork_map`` and counts each
-    group's items in it into one table (``_count_part``).  A group wholly in
-    one share is finished there.  A group cut across shares sends its table
-    from each (``_RangeTable``): this process's is kept, each child's
-    batches are added when the next child's arrive, and the last child's
-    are passed to finish.  A child pickles its one result after counting
-    its whole share, so it never waits on the pipe while it counts.
+    Each share of ``_plan`` is one process of a ``_fork_map`` and counts
+    each group's items in it (``_count_part``).  A group wholly in one share
+    is finished there, where None is its spectrum if it has no word.  The
+    shares of a group cut across several own its words by hash: each keeps
+    the table of the words it owns and sends the others' to them in
+    batches.  Each owner adds the batches it receives and returns the
+    histogram of its table, and the histograms are summed and the group
+    finished here (``_spectrum``).  Owners' words are disjoint, so that sum
+    is the group's.
     """
     shares = _plan(groups)
-    touched = [[g for g, _ in groupby(share, itemgetter(0))] for share in shares]
-    left = Counter(chain.from_iterable(touched))  # the shares of each group not yet taken up
-    whole = {g for g, n in left.items() if n == 1}
+    owners: dict[int, list[int]] = {}  # the shares that hold each group, which own its words
+    for w, share in enumerate(shares):
+        for g, _ in groupby(share, itemgetter(0)):
+            owners.setdefault(g, []).append(w)
 
-    def count(share: list[tuple[int, Any, tuple[int, int, int, int] | None]]) -> list[Any]:
+    def count(w: int, share: list[tuple[int, Any, tuple[int, int, int, int] | None]]):
+        finished, kept, sent = [], {}, {}
         # a share's items are in input order, so each group's are consecutive
-        tables = ((g, _count_part(list(items), config)) for g, items in groupby(share, itemgetter(0)))
-        return [finish(g, table, []) if g in whole else _RangeTable(table) for g, table in tables]
+        for g, items in groupby(share, itemgetter(0)):
+            ws = owners[g]
+            table, batches = _count_part(list(items), config, ws.index(w), len(ws))
+            if len(ws) == 1:
+                finished.append((g, finish(g, _spectrum([_histogram(table)]))))
+                continue
+            kept[g] = table
+            for o, out in zip(ws, batches):
+                if out:
+                    sent.setdefault(o, []).append((g, out))
+        return finished, {o: pickle.dumps(out, pickle.HIGHEST_PROTOCOL) for o, out in sent.items()}, kept
+
+    def merge(kept: dict[int, Counter[str]], received: list[bytes]) -> list[tuple[int, list[Counter[int]]]]:
+        # a word the table lacks is counted apart, so that the table, which
+        # holds most words, is never resized
+        new = {g: Counter() for g in kept}
+        while received:
+            for g, batches in pickle.loads(received.pop(0)):
+                table = kept[g]
+                for words, ns in batches:
+                    words = words.split(" ")
+                    known = list(map(table.__contains__, words))
+                    _add(table, list(compress(words, known)), compress(ns, known))
+                    unknown = list(map(not_, known))
+                    _add(new[g], list(compress(words, unknown)), compress(ns, unknown))
+        return [(g, [_histogram(table), _histogram(new[g])]) for g, table in kept.items()]
 
     results: dict[int, Any] = {}
-    cut: dict[int, tuple[Counter[str], list[tuple[str, list[int]]]]] = {}  # the groups being taken up
-    outs = _fork_map(count, shares, len(shares)) if len(shares) > 1 else map(count, shares)
-    for w, out in enumerate(outs):
-        for g, result in zip(touched[w], out):
-            left[g] -= 1
-            if g in whole:
-                results[g] = result
-                continue
-            counts, held = cut.pop(g, (Counter(), []))
-            if isinstance(result, _RangeTable):  # this process's: kept as it is
-                counts = result.counts
-            else:  # a child's, in batches
-                _add_batches(counts, held)
-                held = result
-            if left[g]:
-                cut[g] = counts, held
-            else:
-                results[g] = finish(g, counts, held)
+    hists: dict[int, list[Counter[int]]] = {g: [] for g, ws in owners.items() if len(ws) > 1}
+    for finished, reduced in _fork_map(count, merge, shares) if shares else []:
+        results.update(finished)
+        for g, owned in reduced:
+            hists[g] += owned
+    for g, group_hists in hists.items():
+        results[g] = finish(g, _spectrum(group_hists))
     for _, source, span in chain.from_iterable(shares):
         if span and not isinstance(source, str):  # read with pread: left at its end
             source.seek(0, os.SEEK_END)
-    return [results[g] if g in results else finish(g, Counter(), []) for g in range(len(groups))]
+    return [results[g] if g in results else finish(g, None) for g in range(len(groups))]
 
 
 def _plan(groups: list[list[Any]]) -> list[list[tuple[int, Any, tuple[int, int, int, int] | None]]]:
@@ -221,14 +247,18 @@ def _plan(groups: list[list[Any]]) -> list[list[tuple[int, Any, tuple[int, int, 
     cut inside a smaller file moves to its end, and an input that is not a
     regular file has no span.  Those are read whole: a path in the share
     where it falls, so that it fails in input order; an open file in this
-    process, so that it is left at its end.  A share whose cuts all moved to
-    one file's end holds nothing and is dropped, so that no process counts
-    nothing; the first share holds every open file, so it is dropped only
-    where there is none.
+    process, so that it is left at its end.  A path that is not a regular
+    file (a pipe, a missing file) is planned as the mean size of the
+    regular files, or as one job's bytes where there is none, so that it
+    takes no more cuts than a file beside it.  A share whose cuts all moved
+    to one file's end holds nothing and is dropped, so that no process
+    counts nothing; the first share holds every open file, so it is dropped
+    only where there is none.
     """
     items = [(g, source, _extent(source)) for g, group in enumerate(groups) for source in group]
-    # a path that is not a regular file (a pipe, say) is planned as one job's bytes
-    sizes = [e[1] - e[0] if e else PARALLEL_MIN_BYTES // 2 if isinstance(s, str) else 0 for _, s, e in items]
+    regular = [e[1] - e[0] for _, _, e in items if e]
+    guess = sum(regular) // len(regular) if regular else PARALLEL_MIN_BYTES // 2
+    sizes = [e[1] - e[0] if e else guess if isinstance(s, str) else 0 for _, s, e in items]
     total = sum(sizes)
     workers = _workers(max(len(groups), total // (PARALLEL_MIN_BYTES // 2)))
     cuts = [total * w // workers for w in range(1, workers)]
@@ -271,9 +301,20 @@ def _extent(source: Any) -> tuple[int, int] | None:
 
 
 def _count_part(
-    items: list[tuple[int, Any, tuple[int, int, int, int] | None]], config: TokenizerConfig
-) -> Counter[str]:
-    """The table of one group's items in one share, without the words ``tokenize`` drops as short.
+    items: list[tuple[int, Any, tuple[int, int, int, int] | None]],
+    config: TokenizerConfig,
+    slot: int = 0,
+    owners: int = 1,
+) -> tuple[Counter[str], list[list[tuple[str, list[int]]]]]:
+    """The words of one group's items in one share, without those ``tokenize`` drops as short, by owner.
+
+    The owner of a word is ``hash(word) % owners``, this process being
+    owner slot.  Returns the table of the words slot owns, and for each
+    owner the batches of the words it owns: each batch is its words joined
+    by spaces and the list of their counts, and a word may repeat.  Every
+    word takes its route as it is made, so no process builds the table of
+    all its words where there are several owners.  A forked process keeps
+    this one's str hash seed, so all agree on the owners.
 
     A path is opened and closed per item, so no process holds two inputs
     open.  A range of a file of at least ``PARALLEL_MIN_BYTES`` is read with
@@ -310,22 +351,33 @@ def _count_part(
         # a token that is not str.isalnum may hold several words or none
         moved = list(filterfalse(str.isalnum, local))
         _add(tokens, list(map(str.encode, moved)), map(local.pop, moved))
-    counts = _words_of_tokens(tokens, config)
-    if len(local) > len(counts):  # the smaller table is added to the larger
-        counts, local = local, counts
-    _add(counts, local, local.values())
     n = config.min_token_length
-    if n > 1:  # where the table is made, so no child pickles a short word
-        for word in list(compress(counts, map(n.__gt__, map(len, counts)))):
-            del counts[word]
-    return counts
-
-
-def _add_batches(counts: Counter[str], batches: list[tuple[str, list[int]]]) -> None:
-    """Add to counts the batches of a child's ``_RangeTable``, popping each as it is added."""
-    while batches:
-        words, ns = batches.pop()
-        _add(counts, words.split(" "), ns)
+    if n > 1:  # in place, so that no copy of the table is made to drop them
+        for word in list(compress(local, map(n.__gt__, map(len, local)))):
+            del local[word]
+    sent: list[list[tuple[str, list[int]]]] = [[] for _ in range(owners)]
+    # for each owner, the table that maps it to 1 and every other to 0
+    masks = [bytes(b == o for b in range(256)) for o in range(owners)]
+    batches = _words_of_tokens(tokens, config)
+    if owners > 1:
+        # the words counted piece by piece are routed as one batch
+        batches = chain([(list(local), list(local.values()))], batches)
+        local = Counter()
+    # else the converted words are added to those counted piece by piece
+    for words, ns in batches:
+        if n > 1:
+            keep = list(map(n.__le__, map(len, words)))
+            words, ns = list(compress(words, keep)), list(compress(ns, keep))
+        if owners > 1:
+            dest = bytes(map(mod, map(hash, words), repeat(owners)))  # each word's owner
+            for o in range(owners):
+                if o != slot and o in dest:
+                    mask = dest.translate(masks[o])
+                    sent[o].append((" ".join(compress(words, mask)), list(compress(ns, mask))))
+            mask = dest.translate(masks[slot])
+            words, ns = list(compress(words, mask)), list(compress(ns, mask))
+        _add(local, words, ns)
+    return local, sent
 
 
 def _count_into(
@@ -426,44 +478,22 @@ def _cut(fd: int, at: int, end: int) -> int:
     return end
 
 
-class _RangeTable:
-    """One share's table, ``counts``, of a group cut across shares: final, short words dropped.
-
-    This process keeps its own as it is.  A forked child pickles it as a
-    list of batches of ``_CONVERT_BATCH`` words joined by spaces, each with
-    the list of their counts, which loads several times faster than the
-    table.  No word holds a space or repeats across a child's batches.
-    """
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: Counter[str]):
-        self.counts = counts
-
-    def __reduce__(self) -> tuple[type, tuple[list[tuple[str, list[int]]]]]:
-        words, ns = iter(self.counts), iter(self.counts.values())
-        batches = []
-        while batch := list(islice(ns, _CONVERT_BATCH)):
-            batches.append((" ".join(islice(words, len(batch))), batch))
-        return list, (batches,)
-
-
-def _words_of_tokens(tokens: Counter[bytes], config: TokenizerConfig) -> Counter[str]:
-    """The words of the counted byte tokens, as ``tokenize`` splits and folds them; empties tokens.
+def _words_of_tokens(tokens: Counter[bytes], config: TokenizerConfig) -> Iterator[tuple[list[str], list[int]]]:
+    """The words of the counted byte tokens, as ``tokenize`` splits and folds them, in batches; empties tokens.
 
     The tokens are those of ``_pieces``, and the UTF-8 of the string path's
     tokens that are not ``str.isalnum``, already folded when lowercasing (a
-    fold is its own fold).  tokens is cleared before the words' table grows.
-    ``_CONVERT_BATCH`` tokens at a time are decoded and folded together.  A
-    ``str.isalnum`` token, or under ``whitespace`` a ``str.isprintable``
-    one, is one word, added with one ``_add``, where several tokens can give
-    one word (U+212A and "K" fold to "k").  Each other token is split as
-    ``tokenize`` splits it, with its count added to each of its words.
+    fold is its own fold).  tokens is cleared before the first batch.
+    ``_CONVERT_BATCH`` tokens at a time are decoded and folded together,
+    and each batch is yielded as its words and their counts, where a word
+    may repeat (U+212A and "K" fold to "k").  A ``str.isalnum`` token, or
+    under ``whitespace`` a ``str.isprintable`` one, is one word.  Each other
+    token is split as ``tokenize`` splits it, with its count given to each
+    of its words.
     """
     keys, ns = list(tokens), list(tokens.values())
     tokens.clear()
-    counts: Counter[str] = Counter()
-    get, fold, whitespace = counts.get, config.lowercase, config.token_rule == "whitespace"
+    fold, whitespace = config.lowercase, config.token_rule == "whitespace"
     while keys:
         batch, batch_ns = keys[-_CONVERT_BATCH:], ns[-_CONVERT_BATCH:]
         del keys[-_CONVERT_BATCH:], ns[-_CONVERT_BATCH:]
@@ -478,7 +508,7 @@ def _words_of_tokens(tokens: Counter[bytes], config: TokenizerConfig) -> Counter
         # every whitespace character but the space is unprintable, and
         # folding keeps each character's whitespace-ness
         one = list(map(str.isprintable, words)) if whitespace else list(map(str.isalnum, texts))
-        _add(counts, list(compress(words, one)), compress(batch_ns, one))
+        out, out_ns = list(compress(words, one)), list(compress(batch_ns, one))
         other = list(map(not_, one))
         for text, word, n in zip(compress(texts, other), compress(words, other), compress(batch_ns, other)):
             if whitespace:
@@ -488,84 +518,6 @@ def _words_of_tokens(tokens: Counter[bytes], config: TokenizerConfig) -> Counter
                 if fold:
                     parts = map(str.casefold, parts)
             for part in parts:
-                counts[part] = get(part, 0) + n
-    return counts
-
-
-def _fork_map(fn: Callable[[Any], Any], jobs: list[Any], workers: int) -> Iterator[Any]:
-    """Yield fn(job) for each job, in job order, computed in ``workers`` processes.
-
-    Forks ``workers - 1`` children.  Child w computes jobs w, w + workers,
-    ... and pickles (ok, result or exception) for each into a pipe of its
-    own; this process computes jobs 0, workers, ... itself, in turn with
-    reading the children's results.  fn and the jobs reach the children by
-    fork, so only results and exceptions are pickled.  The first failure in
-    job order is raised here, and every child is reaped before this returns
-    or raises.
-    """
-    # imported here, so that importing the CLI does not pay for it
-    import pickle
-
-    pids, pipes = [], []
-    done = False
-    try:
-        for w in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pipes.append(open(read_fd, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    for pipe in pipes:
-                        pipe.close()
-                    _serve_share(fn, jobs[w::workers], write_fd)  # never returns
-            finally:
-                os.close(write_fd)
-            pids.append(pid)
-        for i, job in enumerate(jobs):
-            w = i % workers
-            if w == 0:
-                result = fn(job)
-            else:
-                try:
-                    ok, result = pickle.load(pipes[w - 1])
-                except EOFError:
-                    raise ChildProcessError(f"worker process {pids[w - 1]} ended without a result") from None
-                if not ok:
-                    raise result
-            yield result
-        done = True
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        if not done:
-            # a child may still be computing results nobody will read
-            import signal
-
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
-def _serve_share(fn: Callable[[Any], Any], jobs: list[Any], fd: int) -> None:
-    """In a child of ``_fork_map``: pickle (ok, fn(job) or its exception) to fd for each job.
-
-    Stops after the first failure and leaves with ``os._exit``, so that the
-    child runs none of the parent's clean-up and flushes none of its buffers.
-    """
-    import pickle
-
-    code = 1
-    try:
-        with open(fd, "wb") as out:
-            for job in jobs:
-                try:
-                    item = (True, fn(job))
-                except Exception as exc:
-                    item = (False, exc)
-                pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
-                if not item[0]:
-                    break
-        code = 0
-    finally:
-        os._exit(code)
+                out.append(part)
+                out_ns.append(n)
+        yield out, out_ns

@@ -69,6 +69,11 @@ def freq_of_freq(counts: Mapping[str, int]) -> FreqSpectrum:
     Built with ``FreqSpectrum.from_points``, so an empty mapping is an
     ``EmptyCorpusError`` and a count that is not a positive int a ValueError.
     """
+    # each count is checked here: 2 and 2.0 are one key of the histogram,
+    # which holds whichever comes first
+    for n in counts.values():
+        if not isinstance(n, int):
+            raise ValueError(f"frequency k must be a positive integer, got {n!r}")
     return FreqSpectrum.from_points(Counter(counts.values()))
 
 

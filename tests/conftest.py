@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from unittest import mock
 
 from hypothesis import settings
 
@@ -18,14 +19,12 @@ def random_tokens(rng: random.Random, max_tokens: int = 100, alphabet: int = 12)
 def count_table(files, config=corpus.DEFAULT_CONFIG) -> Counter[str]:
     """The word -> count table of files pooled, counted as ``count_spectrum`` counts them.
 
-    ``corpus._count_groups`` is finished with the last forked child's
-    batches added to the group's table, where ``count_spectrum`` folds them
-    into F(k).
+    Each owner's reduce step, ``corpus._histogram``, returns its words'
+    table in place of the histogram of their counts, and the sum of those
+    is passed on as it is: the owners' words are disjoint, so the sum is
+    the group's table.
     """
-
-    def table(g, counts, held):
-        for words, ns in held:
-            counts.update(dict(zip(words.split(" "), ns, strict=True)))
-        return counts
-
-    return corpus._count_groups([list(files)], config, table)[0]
+    with mock.patch.object(corpus, "_histogram", lambda table: table), \
+            mock.patch.object(corpus, "_from_histogram", lambda table: table):
+        table = corpus._count_groups([list(files)], config, lambda g, table: table)[0]
+    return Counter() if table is None else table

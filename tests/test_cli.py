@@ -246,11 +246,13 @@ def _per_file_inputs(tmp_path, seed: int) -> list[str]:
 
 
 def _spy_fork_maps(monkeypatch) -> list[int]:
+    """The processes of each fork map that forks; a map of one job runs in this process."""
     calls, real = [], corpus._fork_map
 
-    def fork_map(fn, jobs, workers):
-        calls.append(workers)
-        return real(fn, jobs, workers)
+    def fork_map(count, merge, jobs):
+        if len(jobs) > 1:
+            calls.append(len(jobs))
+        return real(count, merge, jobs)
 
     monkeypatch.setattr(corpus, "_fork_map", fork_map)
     return calls
@@ -422,12 +424,12 @@ def test_a_child_that_dies_or_raises_is_one_io_error_line_with_every_child_reape
     monkeypatch.setattr(corpus, "_cpu_count", lambda: 3)
     parent, real = os.getpid(), corpus._count_part
 
-    def count_part(items, config):
+    def count_part(items, config, *route):
         if os.getpid() != parent:
             if fault == "dies":
                 os._exit(0)  # leaves without a result, as a killed child does
             raise OSError(5, "Input/output error")
-        return real(items, config)
+        return real(items, config, *route)
 
     monkeypatch.setattr(corpus, "_count_part", count_part)
     code, out, err = run_cli(capsys, "analyze", *(["--per-file"] if per_file else []), *paths)
@@ -438,6 +440,94 @@ def test_a_child_that_dies_or_raises_is_one_io_error_line_with_every_child_reape
         assert err == "zipfent: error: [Errno 5] Input/output error\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _cut_file_and_documents(tmp_path) -> tuple[str, list[str]]:
+    """A file of about 12 KB, cut where PARALLEL_MIN_BYTES is 4 KiB, and five documents of about 2 KB."""
+    rng = random.Random(14)
+    words = ["café", "Straße", "STRASSE", "naïve", "\U0001d518x", "to", "a", "x_1", "a—b", "\u0130stanbul"]
+    big = tmp_path / "big.txt"
+    big.write_text(" ".join(rng.choice(words) + str(rng.randrange(500)) for _ in range(1200)), encoding="utf-8")
+    docs = []
+    for i in range(5):
+        doc = tmp_path / f"doc{i}.txt"
+        doc.write_text(" ".join(rng.choice(words) for _ in range(300)), encoding="utf-8")
+        docs.append(str(doc))
+    return str(big), docs
+
+
+@pytest.mark.parametrize("per_file", [False, True])
+def test_an_unreadable_input_in_the_second_of_three_shares_beside_a_cut_file_is_the_first_error(
+        tmp_path, monkeypatch, capsys, per_file):
+    # the file is cut across the first two shares, whose processes would
+    # exchange its words; the directory falls in the second share and the
+    # missing file in the third, and both are planned as the mean file size
+    big, docs = _cut_file_and_documents(tmp_path)
+    folder, missing = tmp_path / "folder", tmp_path / "missing.txt"
+    folder.mkdir()
+    argv = ["analyze", *(["--per-file"] if per_file else []), big, str(folder), *docs[:3], str(missing), *docs[3:]]
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 12)
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 3)
+    plans = _spy_plans(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert [[source for _, source, _ in share] for share in plans[0]] == [
+        [big], [big, str(folder), *docs[:2]], [docs[2], str(missing), *docs[3:]]]
+    assert (code, out) == (3, "")
+    assert err == f"zipfent: error: [Errno 21] Is a directory: '{folder}'\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("per_file", [False, True])
+def test_a_child_killed_in_the_exchange_is_one_io_error_line_with_every_child_reaped(tmp_path, per_file):
+    # each child kills itself with SIGKILL once it has been sent the bytes
+    # of the words it owns; the zipfent process neither hangs nor leaves a
+    # child behind
+    big, docs = _cut_file_and_documents(tmp_path)
+    script = ("import os, signal, sys\n"
+              "from zipfent import corpus\n"
+              "from zipfent.cli import main\n"
+              "parent, fork_map = os.getpid(), corpus._fork_map\n"
+              "def killed_fork_map(count, merge, jobs):\n"
+              "    def killed(kept, received):\n"
+              "        if os.getpid() != parent:\n"
+              "            os.kill(os.getpid(), signal.SIGKILL)\n"
+              "        return merge(kept, received)\n"
+              "    return fork_map(count, killed, jobs)\n"
+              "corpus._fork_map = killed_fork_map\n"
+              "corpus.PARALLEL_MIN_BYTES = 1 << 12\n"
+              "corpus._cpu_count = lambda: 3\n"
+              "code = main(sys.argv[1:])\n"
+              "try:\n"
+              "    os.waitpid(-1, os.WNOHANG)\n"
+              "except ChildProcessError:\n"
+              "    print('every child reaped')\n"
+              "sys.exit(code)\n")
+    src = os.path.dirname(os.path.dirname(corpus.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["analyze", *(["--per-file"] if per_file else []), docs[0], big, *docs[1:]]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "every child reaped\n")
+    assert proc.stderr.startswith("zipfent: error: worker process ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith(" ended without a result\n")
+
+
+@pytest.mark.parametrize("cpus", range(2, 9))
+def test_analyze_on_2_to_8_cpus_writes_what_one_cpu_writes(tmp_path, monkeypatch, capsys, cpus):
+    big, docs = _cut_file_and_documents(tmp_path)
+    paths = [docs[0], big, *docs[1:]]
+    argvs = [["analyze", "--format", fmt, *paths] for fmt in ("json", "text", "csv")]
+    argvs += [["analyze", "--per-file", "--format", fmt, *paths] for fmt in ("json", "text")]
+    argvs += [["analyze", "--min-token-len", "3", *paths],
+              ["analyze", "--token-rule", "whitespace", "--no-lowercase", "--per-file", *paths]]
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 12)
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 1)
+    serial = [run_cli(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in serial] == [0] * len(argvs)
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: cpus)
+    fork_maps = _spy_fork_maps(monkeypatch)
+    assert [run_cli(capsys, *argv) for argv in argvs] == serial
+    assert fork_maps == [cpus] * len(argvs)
 
 
 def test_two_hundred_inputs_count_with_64_open_files_allowed(tmp_path):
@@ -494,8 +584,8 @@ def test_map_forks_one_process_per_cpu_and_job_up_to_max_workers(tmp_path, monke
         monkeypatch.setattr(corpus, "_can_fork", lambda: False)
     parent = os.getpid()
     results = corpus._count_groups([[p] for p in paths], TokenizerConfig(),
-                                   lambda g, counts, held: (g, dict(counts), os.getpid() == parent))
-    assert [(g, counts) for g, counts, _ in results] == [(j, {"a": 1, "b": 1}) for j in range(jobs)]
+                                   lambda g, spec: (g, spec.points, os.getpid() == parent))
+    assert [(g, points) for g, points, _ in results] == [(j, {1: 2}) for j in range(jobs)]
     # None: no fork map, every group counted in this process
     assert fork_maps == ([] if workers is None else [workers])
     assert all(in_parent for _, _, in_parent in results) == (workers is None)
@@ -509,17 +599,15 @@ def test_per_file_missing_input_in_a_fork_map_is_the_serial_io_error(tmp_path, m
         if i != missing:
             path.write_text(f"a a b c{i} café", encoding="utf-8")
         paths.append(str(path))
-    # the missing path is planned as PARALLEL_MIN_BYTES // 2 bytes, here
-    # about two files' worth, so it falls in the share of its place; at
-    # 8 MiB every cut would fall inside it and leave the children nothing
-    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 6)
+    # the missing path is planned as the mean size of the files beside it,
+    # so it falls in the share of its place and the 20 groups make 3 shares
     monkeypatch.setattr(corpus, "_cpu_count", lambda: 1)
     serial = run_cli(capsys, "analyze", "--per-file", *paths)
     monkeypatch.setattr(corpus, "_cpu_count", lambda: 3)
     fork_maps = _spy_fork_maps(monkeypatch)
     plans = _spy_plans(monkeypatch)
     code, out, err = run_cli(capsys, "analyze", "--per-file", *paths)
-    assert fork_maps == [3]
+    assert fork_maps == [3] and len(plans[0]) == 3
     assert [w for w, share in enumerate(plans[0]) for _, source, _ in share if source == paths[missing]] == [
         {0: 0, 1: 0, 10: 1, 19: 2}[missing]]
     assert (code, out, err) == serial

@@ -10,6 +10,8 @@ import multiprocessing
 import pickle
 import random
 import re
+import signal
+import subprocess
 import sys
 import tempfile
 import time
@@ -297,10 +299,16 @@ def test_byte_ranges_count_to_the_count_of_the_whole_file(prefix, data, config, 
         with mock.patch.object(corpus, "CHUNK_SIZE", chunk_size):
             ranges = _ranges(shares, f)
             total: Counter[str] = Counter()
-            for share in shares:
-                # a forked child pickles the table as batches of words joined by spaces
-                for words, ns in pickle.loads(pickle.dumps(corpus._RangeTable(corpus._count_part(share, config)))):
-                    total.update(dict(zip(words.split(" "), ns, strict=True)))
+            for w, share in enumerate(shares):
+                # each share keeps the words it owns and sends the others to
+                # their owners, pickled, as batches of words joined by spaces
+                table, sent = corpus._count_part(share, config, w, len(shares))
+                assert all(hash(word) % len(shares) == w for word in table)
+                total.update(table)
+                for owner, batches in enumerate(sent):
+                    for words, ns in pickle.loads(pickle.dumps(batches)):
+                        assert owner != w and all(hash(word) % len(shares) == owner for word in words.split(" "))
+                        corpus._add(total, words.split(" "), ns)
     assert len(shares) == (min(parts, len(data)) if len(data) >= 2 else 1)
     assert len(ranges) == len(shares)
     assert ranges[0][0] == start and ranges[-1][1] == end
@@ -324,8 +332,8 @@ def test_count_range_adds_a_token_that_folds_onto_an_ascii_word_to_its_count(tok
         f.flush()
         # a file of at least PARALLEL_MIN_BYTES is read as a byte range
         with mock.patch.object(corpus, "PARALLEL_MIN_BYTES", 1):
-            table = corpus._count_part([(0, f, (0, 0, len(data), len(data)))], config)
-    assert table == expected
+            table, sent = corpus._count_part([(0, f, (0, 0, len(data), len(data)))], config)
+    assert table == expected and sent == [[]]
 
 
 def _ranges(shares, f) -> list[tuple[int, int]]:
@@ -448,13 +456,15 @@ def test_pooled_ranges_and_stream_pieces_count_to_the_tokens_of_their_join(tmp_p
 @pytest.mark.parametrize("min_token_length", [1, 3])
 @pytest.mark.parametrize("lowercase", [True, False])
 @pytest.mark.parametrize("token_rule", TOKEN_RULES)
-def test_a_childs_table_crosses_the_pipe_in_batches(tmp_path, monkeypatch, lowercase, token_rule, min_token_length):
-    # batches of 3 words; the middle range holds only punctuation and
-    # spaces, so under unicode_words its child sends an empty table.  A
-    # range's table drops its short words before a child pickles it
+def test_a_shares_words_go_to_their_owners_in_batches(tmp_path, monkeypatch, lowercase, token_rule, min_token_length):
+    # batches of 3 tokens, of hundreds of distinct words, so that every
+    # owner is sent several whatever the hash seed; the middle range holds
+    # only punctuation and spaces, so under unicode_words its share sends
+    # nothing.  A share drops the short words before it routes them, so
+    # none is sent
     rng = random.Random(7)
-    marks = " ".join(rng.choice([".", ",", "--", "!?", "\u00ab\u00bb", "\u2014", "(", ")"]) for _ in range(600))
-    data = _random_text(8, 150) + b"\n" + marks.encode("utf-8") + b"\n" + _random_text(9, 150)
+    marks = " ".join(rng.choice([".", ",", "--", "!?", "\u00ab\u00bb", "\u2014", "(", ")"]) for _ in range(1200))
+    data = _spectrum_text(rng, 150) + b"\n" + marks.encode("utf-8") + b"\n" + _spectrum_text(rng, 150)
     path = tmp_path / "big.txt"
     path.write_bytes(data)
     _split_in_three(monkeypatch)
@@ -465,9 +475,16 @@ def test_a_childs_table_crosses_the_pipe_in_batches(tmp_path, monkeypatch, lower
         (_, lo), (_, hi), _ = _ranges(shares, f)
         assert not re.search(r"\w", data[lo:hi].decode("utf-8"))
         monkeypatch.setattr(corpus, "CHUNK_SIZE", 64)
-        batches = pickle.loads(pickle.dumps(corpus._RangeTable(corpus._count_part(shares[2], config))))
-        assert len(batches) > 1
-        assert min(len(word) for words, _ in batches for word in words.split(" ")) >= min_token_length
+        table, sent = corpus._count_part(shares[2], config, 2, 3)
+        assert sent[2] == [] and len(sent[0]) > 1 and len(sent[1]) > 1
+        for owner, batches in enumerate(sent):
+            for words, ns in batches:
+                assert len(words.split(" ")) == len(ns)
+                assert all(hash(word) % 3 == owner and len(word) >= min_token_length for word in words.split(" "))
+        assert all(hash(word) % 3 == 2 and len(word) >= min_token_length for word in table)
+        middle = corpus._count_part(shares[1], config, 1, 3)
+        if token_rule == "unicode_words":
+            assert middle == (Counter(), [[], [], []])
         table = count_table([f], config)
     assert table == _one_shot(data, config)
 
@@ -516,9 +533,9 @@ def _spectrum_text(rng: random.Random, words: int) -> bytes:
 )
 def test_count_spectrum_is_the_spectrum_of_the_word_table(tmp_path_factory, seed, cpus, config, separators):
     # two large files and a small file in one pooled group, cut into up to 4
-    # shares: with 3 or more a group's last child takes up the batches held
-    # from the child before it.  With separators and 3 or more shares a
-    # share of the first file holds no word under unicode_words
+    # shares, each the owner of some of the group's words.  With separators
+    # and 3 or more shares a share of the first file holds no word under
+    # unicode_words
     rng = random.Random(seed)
     marks = " ".join(rng.choice([".", ",", "--", "!?", "\u00ab\u00bb", "\u2014"]) for _ in range(12000)).encode("utf-8")
     first = _spectrum_text(rng, 300) + (b"\n" + marks + b"\n" if separators else b" ") + _spectrum_text(rng, 300)
@@ -541,11 +558,6 @@ def test_count_spectrum_is_the_spectrum_of_the_word_table(tmp_path_factory, seed
     assert table == _one_shot(b"\n".join(texts), config)
 
 
-def _spectrum(g, counts, held):
-    """Finish a group as the CLI does, at its spectrum."""
-    return corpus._spectrum(counts, held)
-
-
 @pytest.mark.parametrize("cpus", [1, 3])
 @pytest.mark.parametrize("token_rule", TOKEN_RULES)
 def test_count_spectrum_of_words_all_shorter_than_the_minimum_is_none(tmp_path, monkeypatch, cpus, token_rule):
@@ -556,10 +568,74 @@ def test_count_spectrum_of_words_all_shorter_than_the_minimum_is_none(tmp_path, 
     config = TokenizerConfig(min_token_length=3, token_rule=token_rule)
     with open(path, "rb") as f:
         assert len(_ranges(corpus._plan([[f]]), f)) == cpus
-        assert corpus._count_groups([[f]], config, _spectrum) == [None]
+        assert corpus._count_groups([[f]], config, lambda g, spec: spec) == [None]
         f.seek(0)
         with pytest.raises(EmptyCorpusError):
             count_spectrum([f], config)
+
+
+def _hostile_text(seed: int, tokens: int) -> bytes:
+    """Tokens of one to three _FRAGMENTS, half with a number, separated by spaces.
+
+    So fold-split characters and invalid bytes fall among some thousands of
+    distinct words, enough that every owner of a cut group gets many.
+    """
+    rng = random.Random(seed)
+    return b" ".join(b"".join(rng.choices(_FRAGMENTS, k=rng.randint(1, 3)))
+                     + (str(rng.randrange(200)).encode() if rng.random() < 0.5 else b"") for _ in range(tokens))
+
+
+_ALL_CONFIGS = [TokenizerConfig(lowercase=lowercase, min_token_length=n, token_rule=rule)
+                for rule in TOKEN_RULES for lowercase in (True, False) for n in (1, 3)]
+
+
+@pytest.mark.parametrize("cpus", range(1, 9))
+def test_counting_on_1_to_8_cpus_equals_the_count_of_the_joined_text(tmp_path, monkeypatch, cpus):
+    # two files that are cut and a small one between them, pooled: each
+    # share owns some words of the group and sends the others to their
+    # owners, from byte ranges and from a file counted piece by piece
+    texts = [_hostile_text(31, 5000), _hostile_text(32, 200), _hostile_text(33, 3000)]
+    paths = [tmp_path / name for name in ("a.txt", "b.txt", "c.txt")]
+    for path, text in zip(paths, texts):
+        path.write_bytes(text)
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 10)
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: cpus)
+    for config in _ALL_CONFIGS:
+        expected = _one_shot(b"\n".join(texts), config)
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(open(path, "rb")) for path in paths]
+            assert len(corpus._plan([files])) == cpus
+            spec = count_spectrum(files, config)
+        with contextlib.ExitStack() as stack:
+            table = count_table([stack.enter_context(open(path, "rb")) for path in paths], config)
+        assert spec == freq_of_freq(expected), config
+        assert table == expected, config
+
+
+@pytest.mark.parametrize("token_rule", TOKEN_RULES)
+def test_no_owner_of_a_cut_group_holds_more_than_six_tenths_of_its_words(tmp_path, monkeypatch, token_rule):
+    # on 2 CPUs each share holds most of the group's words, but keeps only
+    # those it owns; the reduce step reports each owner's words by process
+    tokens = _hostile_text(34, 3000).split(b" ")
+    data = b" ".join(random.Random(35).choices(tokens, k=16000))
+    path = tmp_path / "big.txt"
+    path.write_bytes(data)
+    config = TokenizerConfig(token_rule=token_rule)
+    vocabulary = len(_one_shot(data, config))
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 10)
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(corpus, "_histogram", lambda table: Counter({os.getpid(): len(table)}))
+    monkeypatch.setattr(corpus, "_from_histogram", lambda sizes: sizes)
+    with open(path, "rb") as f:
+        ranges = _ranges(corpus._plan([[f]]), f)
+        owned = corpus._count_groups([[f]], config, lambda g, sizes: sizes)[0]
+    # a table of a whole share's words would break the bound; the bound is
+    # 6 standard deviations above half of 900 words, whatever the hash seed
+    assert vocabulary > 900
+    assert len(ranges) == 2 and all(len(_one_shot(data[lo:hi], config)) > 0.6 * vocabulary for lo, hi in ranges)
+    assert len(owned) == 2 and os.getpid() in owned
+    assert sum(owned.values()) == vocabulary
+    assert max(owned.values()) <= 0.6 * vocabulary
 
 
 def test_a_large_file_is_one_range_counted_in_process_where_no_fork_may_start(tmp_path, monkeypatch):
@@ -583,7 +659,8 @@ def test_a_large_file_is_one_range_counted_in_process_where_no_fork_may_start(tm
 
 
 def test_plan_cuts_the_bytes_of_all_inputs_into_even_shares(tmp_path, monkeypatch):
-    # 512-byte jobs; a path that is not a regular file is planned as one
+    # 512-byte jobs; a path that is not a regular file is planned as the
+    # mean size of the regular files, here 900 bytes
     monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 10)
     monkeypatch.setattr(corpus, "_cpu_count", lambda: 4)
     a, big, c, missing, folder = (str(tmp_path / name) for name in ("a", "big", "c", "missing", "folder"))
@@ -591,17 +668,31 @@ def test_plan_cuts_the_bytes_of_all_inputs_into_even_shares(tmp_path, monkeypatc
         with open(path, "wb") as f:
             f.write(b"x " * (size // 2))
     os.mkdir(folder)
-    # 3,724 bytes in 4 shares: cuts at 931 and 1,862 fall inside the large
-    # file, and the cut at 2,793 inside the missing file moves to its end
+    # 4,500 bytes in 4 shares: cuts at 1,125 and 2,250 fall inside the large
+    # file, and the cut at 3,375 inside the missing file moves to its end
     assert corpus._plan([[a, big, c, missing, folder]]) == [
-        [(0, a, (0, 0, 600, 600)), (0, big, (0, 0, 331, 2000))],
-        [(0, big, (0, 331, 1262, 2000))],
-        [(0, big, (0, 1262, 2000, 2000)), (0, c, (0, 0, 100, 100)), (0, missing, None)],
+        [(0, a, (0, 0, 600, 600)), (0, big, (0, 0, 525, 2000))],
+        [(0, big, (0, 525, 1650, 2000))],
+        [(0, big, (0, 1650, 2000, 2000)), (0, c, (0, 0, 100, 100)), (0, missing, None)],
         [(0, folder, None)],
     ]
-    # one group per input, as --per-file makes them: a cut at a file's start
-    # puts it in the next share
+    # one group per input, as --per-file makes them: with no regular file
+    # each is planned as one job, and a cut at a file's start puts it in
+    # the next share
     assert corpus._plan([[missing], [folder]]) == [[(0, missing, None)], [(1, folder, None)]]
+
+
+def test_plan_weighs_a_path_that_is_not_a_regular_file_as_the_files_beside_it(tmp_path, monkeypatch):
+    # 19 documents of about 15 bytes and a missing one, one group each: the
+    # missing one weighs 15 bytes, not PARALLEL_MIN_BYTES // 2, so it does
+    # not take every cut
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 3)
+    paths = [str(tmp_path / f"doc{i:02d}.txt") for i in range(20)]
+    for i, path in enumerate(paths[:-1]):
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(f"a a b c{i:02d} caf\u00e9")
+    shares = corpus._plan([[p] for p in paths])
+    assert [[g for g, _, _ in share] for share in shares] == [list(range(7)), list(range(7, 14)), list(range(14, 20))]
 
 
 @pytest.mark.parametrize("lowercase", [True, False])
@@ -669,50 +760,139 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 5])
-def test_fork_map_yields_in_job_order_with_the_parent_taking_share_zero(workers):
+def _mail(jobs: int):
+    """count and merge for a fork map of jobs processes: each job sends every other job its own note."""
     parent = os.getpid()
-    results = list(corpus._fork_map(lambda j: (j * j, os.getpid() == parent), range(11), workers))
-    assert [r for r, _ in results] == [j * j for j in range(11)]
-    # the parent computes jobs 0, workers, 2 * workers, ...
-    assert [in_parent for _, in_parent in results] == [j % workers == 0 for j in range(11)]
+
+    def count(w, job):
+        return (job * job, os.getpid() == parent), {o: f"{w}->{o}".encode() for o in range(jobs) if o != w}, w
+
+    def merge(kept, received):
+        return kept, [data.decode() for data in received], os.getpid() == parent
+
+    return count, merge
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 5, corpus.MAX_WORKERS])
+def test_fork_map_exchanges_in_job_order_with_the_parent_taking_job_zero(jobs):
+    count, merge = _mail(jobs)
+    results = corpus._fork_map(count, merge, list(range(10, 10 + jobs)))
+    assert [first for (first, _), _ in results] == [j * j for j in range(10, 10 + jobs)]
+    # each job runs in a process of its own, this one computing job 0, and
+    # is sent the bytes of every other job, in job order
+    for w, ((_, counted_here), (kept, received, merged_here)) in enumerate(results):
+        assert counted_here == merged_here == (w == 0)
+        assert (kept, received) == (w, [f"{o}->{w}" for o in range(jobs) if o != w])
     _assert_no_child_left()
 
 
-def _fail_at(bad: int, exc: Exception):
-    def fn(j):
-        if j == bad:
-            raise exc
-        return j
+def test_fork_map_exchanges_more_than_a_pipe_holds_among_8_processes_in_bounded_time(tmp_path):
+    # every job sends every other job 256 KiB, four times what a pipe holds
+    # on Linux, so every write waits for its reader; in a subprocess with a
+    # timeout, so that a deadlock fails the test instead of hanging it
+    script = ("import hashlib, os, sys\n"
+              "from zipfent import corpus\n"
+              "n = corpus.MAX_WORKERS\n"
+              "def note(w, o):\n"
+              "    return hashlib.sha256(b'%d->%d' % (w, o)).digest() * (1 << 13)\n"
+              "def count(w, job):\n"
+              "    return os.getpid(), {o: note(w, o) for o in range(n) if o != w}, w\n"
+              "def merge(w, received):\n"
+              "    return received == [note(o, w) for o in range(n) if o != w]\n"
+              "results = corpus._fork_map(count, merge, list(range(n)))\n"
+              "assert len({pid for pid, _ in results}) == n and all(ok for _, ok in results)\n"
+              "try:\n"
+              "    os.waitpid(-1, os.WNOHANG)\n"
+              "except ChildProcessError:\n"
+              "    print('exchanged')\n")
+    src = os.path.dirname(os.path.dirname(corpus.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "exchanged\n", "")
 
-    return fn
+
+def _fail_at(stage: str, bad: set[int]):
+    """count and merge for a fork map of 4 jobs that fail at the jobs bad in stage, each with its own error."""
+    count, merge = _mail(4)
+
+    def fail(w):
+        raise FileNotFoundError(2, "No such file or directory", f"{stage}{w}.txt")
+
+    def failing_count(w, job):
+        if stage == "count" and w in bad:
+            fail(w)
+        return count(w, job)
+
+    def failing_merge(kept, received):
+        if stage == "merge" and kept in bad:
+            fail(kept)
+        return merge(kept, received)
+
+    return failing_count, failing_merge
 
 
-@pytest.mark.parametrize("bad", [0, 4, 7])  # in the parent's share, then two children's
-def test_fork_map_raises_the_first_failure_and_reaps_every_child(bad):
-    fn = _fail_at(bad, FileNotFoundError(2, "No such file or directory", f"doc{bad}.txt"))
-    seen = []
+@pytest.mark.parametrize("stage", ["count", "merge"])
+@pytest.mark.parametrize("bad", [0, 1, 2])  # the parent's job, then two children's
+def test_fork_map_raises_the_first_failure_and_reaps_every_child(stage, bad):
     with pytest.raises(FileNotFoundError) as exc:
-        for r in corpus._fork_map(fn, range(12), 3):
-            seen.append(r)
-    assert seen == list(range(bad))
-    assert str(exc.value) == f"[Errno 2] No such file or directory: 'doc{bad}.txt'"
+        corpus._fork_map(*_fail_at(stage, {bad, 3}), list(range(4)))
+    assert str(exc.value) == f"[Errno 2] No such file or directory: '{stage}{bad}.txt'"
     _assert_no_child_left()
 
 
-def test_fork_map_child_without_a_result_is_an_os_error():
-    def fn(j):
-        if j == 1:
+@pytest.mark.parametrize("stage", ["count", "merge"])
+def test_fork_map_child_without_a_result_is_an_os_error(stage):
+    count, merge = _mail(3)
+
+    def leaving_count(w, job):
+        if stage == "count" and w == 1:
             os._exit(0)  # in a child: it leaves without writing
-        return j
+        return count(w, job)
+
+    def leaving_merge(kept, received):
+        if stage == "merge" and kept == 1:
+            os._exit(0)
+        return merge(kept, received)
 
     with pytest.raises(ChildProcessError, match="ended without a result"):
-        list(corpus._fork_map(fn, range(4), 2))
+        corpus._fork_map(leaving_count, leaving_merge, list(range(3)))
     _assert_no_child_left()
 
 
-def test_fork_map_closed_early_stops_and_reaps_its_children():
-    results = corpus._fork_map(lambda j: j, range(100), 3)
-    assert next(results) == 0 and next(results) == 1
-    results.close()
+class _Killer:
+    """Kills the process that pickles it."""
+
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_fork_map_child_killed_while_it_writes_is_an_os_error():
+    # the large first part of the result reaches the pipe before the child
+    # dies, so the parent reads a result cut short
+    count, merge = _mail(3)
+
+    def killed_count(w, job):
+        first, sent, kept = count(w, job)
+        return ([b"x" * (1 << 20), _Killer()] if w == 2 else first), sent, kept
+
+    with pytest.raises(ChildProcessError, match="ended without a result"):
+        corpus._fork_map(killed_count, merge, list(range(3)))
+    _assert_no_child_left()
+
+
+def test_fork_map_child_that_dies_before_it_is_sent_its_bytes_is_an_os_error():
+    # the child writes its result and dies while it waits for its bytes, so
+    # the parent's write to it fails: it dies of SIGALRM 0.2 s after it starts,
+    # while the parent counts its own job for 1 s
+    count, merge = _mail(2)
+
+    def slow_count(w, job):
+        if w == 0:
+            time.sleep(1)
+        else:
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+        return count(w, job)
+
+    with pytest.raises(ChildProcessError, match="ended without a result"):
+        corpus._fork_map(slow_count, merge, list(range(2)))
     _assert_no_child_left()

@@ -40,6 +40,13 @@ def test_freq_of_freq_refuses_an_empty_mapping_or_a_count_that_is_not_a_positive
         freq_of_freq(counts)
 
 
+@pytest.mark.parametrize("counts", [{"a": 2, "b": 2.0}, {"a": 2.0, "b": 2}, {"a": 1, "b": 2, "c": 2.0}])
+def test_freq_of_freq_refuses_a_float_count_equal_to_an_int_one_wherever_it_is(counts):
+    # 2 and 2.0 are one key of a Counter of the counts
+    with pytest.raises(ValueError, match=r"frequency k must be a positive integer, got 2\.0"):
+        freq_of_freq(counts)
+
+
 def test_from_points_validation():
     with pytest.raises(EmptyCorpusError):
         FreqSpectrum.from_points({})
