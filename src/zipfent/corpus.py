@@ -356,10 +356,10 @@ def _count_part(
         for word in list(compress(local, map(n.__gt__, map(len, local)))):
             del local[word]
     sent: list[list[tuple[str, list[int]]]] = [[] for _ in range(owners)]
-    # for each owner, the table that maps it to 1 and every other to 0
-    masks = [bytes(b == o for b in range(256)) for o in range(owners)]
     batches = _words_of_tokens(tokens, config)
     if owners > 1:
+        # for each owner, the table that maps it to 1 and every other to 0
+        masks = [bytes(b == o for b in range(256)) for o in range(owners)]
         # the words counted piece by piece are routed as one batch
         batches = chain([(list(local), list(local.values()))], batches)
         local = Counter()
