@@ -135,6 +135,26 @@ def test_every_kernel_counts_what_the_regex_and_split_oracles_count(tmp_path):
             assert {k: json.loads(out)[k] for k in want} == want, flags
 
 
+def test_per_file_reports_of_3000_documents_are_held_once(tmp_path, monkeypatch):
+    """--per-file keeps each document's rendered report once and writes the JSON array and the text blocks a report
+    at a time, so over 3,000 one-line documents the peak above a one-document run is at most 2.5 times the output,
+    and the output is the same on one CPU.  The documents are named relative to the working directory, because the
+    interpreter keeps several copies of its argv."""
+    monkeypatch.chdir(tmp_path)
+    r = random.Random(5)
+    words = ["the", "of", "Straße", "café", "naïve", "x"]
+    docs = [f"d{i:04d}.txt" for i in range(3000)]
+    for i, doc in enumerate(docs):
+        # "the" at least twice and a word of its own once, so that each fit has two points
+        (tmp_path / doc).write_text(" ".join(["the", "the", *r.choices(words, k=r.randint(8, 30)), f"w{i}"]), "utf-8")
+    for flags in [(), ("--format", "text")]:
+        same_on_one_cpu("analyze", "--per-file", *flags, *docs)
+    (code1, _, err1, one), (code, out, err, peak) = (run("analyze", "--per-file", *docs[:n]) for n in (1, 3000))
+    assert (code1, code) == (0, 0), err1 + err
+    print(f"{len(out) / 2**20:.2f} MB of output, peak {peak:.1f} MB; one document: peak {one:.1f} MB")
+    assert (peak - one) * 2**20 <= 2.5 * len(out)
+
+
 def test_a_file_without_a_separator_ends_with_the_fit_error_in_linear_time(tmp_path):
     """A file without a separator byte is one token, counted in linear time: the fit error (exit 2), not a timeout."""
     (tmp_path / "long.txt").write_bytes(b"x" * (64 << 20))
@@ -159,15 +179,15 @@ def test_sweep_and_gen_take_the_law_of_b_16_in_closed_form_and_in_blocks():
 
 
 def test_each_subcommand_imports_only_the_modules_it_runs():
-    """sweep and gen never load the corpus, report or fit modules, analyze never synth; none loads dataclasses or
-    inspect, which cost more than a sweep's work; and without site (-S), which may import anything through a
-    .pth file, none loads typing, pathlib or threading."""
+    """sweep and gen never load the corpus, report or fit modules, analyze never synth; none loads dataclasses,
+    inspect or statistics (with its fractions and decimal), which cost more than a sweep's work; and without site
+    (-S), which may import anything through a .pth file, none loads typing, pathlib or threading."""
     def imported(*argv, flags, stdin=b""):
         code, _, err, _ = run(*argv, stdin=stdin, flags=(*flags, "-X", "importtime"))
         assert code == 0, err
         return set(re.findall(r"^import time:.*\| *(\S+)$", err, re.M))
-    for flags, banned in [((), {"dataclasses", "inspect"}),
-                          (("-S",), {"dataclasses", "inspect", "typing", "pathlib", "threading"})]:
+    heavy = {"dataclasses", "inspect", "statistics", "fractions", "decimal"}
+    for flags, banned in [((), heavy), (("-S",), heavy | {"typing", "pathlib", "threading"})]:
         sweep, gen = (imported(cmd, "--a", "1", "--b", b, flags=flags) for cmd, b in [("sweep", "4"), ("gen", "3")])
         analyze = imported("analyze", flags=flags, stdin=b"a a b\n")
         assert {"zipfent.cli", "zipfent.synth"} <= sweep & gen and "zipfent.corpus" in analyze

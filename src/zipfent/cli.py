@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .errors import EmptyCorpusError
 
@@ -152,15 +152,24 @@ def _cmd_analyze(args) -> int:
             where = f"{label}: " if args.per_file else ""
             print(f"zipfent: {where}{fit_error}", file=sys.stderr)
             status = EXIT_DATA
-    outputs = [output for _, output, _ in reports]
+    # each report is held once: the array and the text blocks are made a
+    # report at a time as they are written
+    outputs = (output for _, output, _ in reports)
     if not args.per_file:
         chunks = outputs
     elif args.format == "json":
-        chunks = [report_json_array(outputs)]
+        chunks = report_json_array(outputs)
     else:
-        chunks = ["\n".join(f"== {label} ==\n{output}" for label, output, _ in reports)]
+        chunks = _text_blocks(reports)
     _emit(chunks, args.out)
     return status
+
+
+def _text_blocks(reports: list[tuple[str, str, str | None]]) -> Iterator[str]:
+    """The text reports of --per-file, each under its "== label ==" line, with an empty line between two."""
+    for i, (label, output, _) in enumerate(reports):
+        yield ("\n" if i else "") + f"== {label} ==\n"
+        yield output
 
 
 def _cmd_gen(args) -> int:

@@ -388,22 +388,27 @@ def _count_into(
     Each piece of ``_pieces`` is decoded once, case-folded as a whole when
     lowercasing, split at whitespace and counted in counts.  A piece with a
     character of ``_FOLD_SPLITS`` when lowercasing under ``unicode_words``,
-    whose fold would change its runs of word characters, has its byte tokens
-    counted in tokens instead, for ``_count_part`` to convert.
+    whose fold would change its runs of word characters, has the UTF-8 of
+    its whitespace-split tokens counted in tokens instead, for
+    ``_count_part`` to convert: U+FFFD encodes to itself, and a whitespace
+    character is never a word character, so they give the words of its
+    byte tokens.  Every such character but U+0345 folds to more than one,
+    and no character folds to none, so only a piece whose fold is longer,
+    or that holds U+0345, is searched for one.
     """
     splits = config.token_rule == "unicode_words" and config.lowercase
     for piece in _pieces(chunks, config):
         text = str(piece, "utf-8", "replace")
-        if splits and re.search(_FOLD_SPLITS, text):
-            del text
-            tokens.update(piece.split())
-            continue
         # the piece is dropped after decoding, so that a long token is held
-        # at most twice, as bytes and as text
+        # at most twice, as text and as its fold
         del piece
-        if config.lowercase:
-            text = text.casefold()
-        counts.update(text.split())
+        folded = text.casefold() if config.lowercase else text
+        if splits and (len(folded) != len(text) or "\u0345" in text) and re.search(_FOLD_SPLITS, text):
+            del folded
+            tokens.update(map(str.encode, text.split()))
+            continue
+        del text
+        counts.update(folded.split())
 
 
 def _pieces(chunks: Iterable[bytes], config: TokenizerConfig) -> Iterator[bytes]:

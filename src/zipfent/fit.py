@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import statistics
 
 from ._record import Record
 from .errors import InsufficientPointsError
@@ -47,7 +46,7 @@ def fit_loglog(spec: FreqSpectrum, k_min: int = 1, k_max: int | None = None) -> 
     if distinct < 2:
         raise InsufficientPointsError(distinct)
     ys = [math.log(f) for f in used.values()]
-    slope, intercept = statistics.linear_regression(xs, ys)
+    slope, intercept = _ols(xs, ys)
     resid = [y - (slope * x + intercept) for x, y in zip(xs, ys)]
     rmse = math.sqrt(math.fsum(r * r for r in resid) / len(resid))
     # + 0.0 normalizes the -0.0 slope produced by flat data
@@ -59,6 +58,22 @@ def fit_loglog(spec: FreqSpectrum, k_min: int = 1, k_max: int | None = None) -> 
         k_min=min(used),
         k_max=max(used),
     )
+
+
+def _ols(xs: list[float], ys: list[float]) -> tuple[float, float]:
+    """Slope and intercept of the least-squares line through (xs, ys), which hold two distinct xs.
+
+    The formula of ``statistics.linear_regression`` in CPython 3.11, with
+    every sum an fsum, so a fit reads the same bits on every Python; from
+    3.12 that function sums with ``math.sumprod``.  Importing ``statistics``
+    would also load ``fractions`` and ``decimal``.
+    """
+    xbar = math.fsum(xs) / len(xs)
+    ybar = math.fsum(ys) / len(ys)
+    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    sxx = math.fsum((d := x - xbar) * d for x in xs)
+    slope = sxy / sxx
+    return slope, ybar - slope * xbar
 
 
 def _check_window(k_min: int, k_max: int | None) -> None:

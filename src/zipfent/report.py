@@ -11,6 +11,8 @@ from .spectrum import FreqSpectrum, freq_of_freq  # noqa: F401
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
+
     from .corpus import TokenizerConfig
 
 # bench/tracer.py wraps freq_of_freq on this module; build_report, given the
@@ -84,15 +86,19 @@ def report_json(report: dict | list[dict]) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
-def report_json_array(texts: list[str]) -> str:
-    """The JSON array of one or more reports rendered one by one with ``report_json``.
+def report_json_array(texts: Iterable[str]) -> Iterator[str]:
+    """The JSON array of reports rendered one by one with ``report_json``, in pieces.
 
-    The same bytes as ``report_json`` of the list of the reports: a rendered
-    report holds newlines only between its items, so each line is indented
-    one more level.
+    Joined, the pieces are the bytes of ``report_json`` of the list of the
+    reports: a rendered report holds newlines only between its items, so
+    each line is indented one more level.  Each report is re-indented as its
+    piece is yielded, so no copy of the whole array is made.
     """
-    items = ",\n".join("  " + text[:-1].replace("\n", "\n  ") for text in texts)
-    return "[\n" + items + "\n]\n"
+    sep = "[\n"
+    for text in texts:
+        yield sep + "  " + text[:-1].replace("\n", "\n  ")
+        sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
 
 
 def report_text(report: dict, show_bits: bool = False) -> str:

@@ -148,13 +148,13 @@ def test_analyze_per_file_emits_schema_valid_reports(tmp_path, capsys):
     assert reports[0]["config"]["inputs"] == [str(tmp_path / "one.txt")]
 
 
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [0, 1, 3])
 def test_report_json_array_is_report_json_of_the_list(n):
     # labels with characters JSON escapes, and one report with a fit error
     tables = [Counter("a a b b b c".split()), Counter(["x"]), Counter("p q q r r r r".split())]
     labels = ["caf\u00e9 \u5317.txt", 'a "b"\n\tc.txt', "-"]
     reports = [build_report(freq_of_freq(t), TokenizerConfig(), [label]) for t, label in zip(tables[:n], labels)]
-    assert report_json_array([report_json(r) for r in reports]) == report_json(reports)
+    assert "".join(report_json_array(report_json(r) for r in reports)) == report_json(reports)
 
 
 def test_per_file_with_csv_rejected(tmp_path, capsys):

@@ -19,7 +19,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import count_table
@@ -248,11 +248,40 @@ def test_fold_splits_holds_every_character_whose_case_fold_changes_its_word_runs
     splits = {c for c, f in changed if not f or any(is_word(x) != is_word(c) for x in f)}
     assert "\u0130" in splits and "\u0345" in splits
     assert all(re.fullmatch(corpus._FOLD_SPLITS, c) for c in splits)
+    # so _count_into searches for one only in a piece whose fold is longer,
+    # or that holds U+0345: no character folds to none, and every one of
+    # them but U+0345 folds to more than one
+    assert all(f for _, f in changed)
+    assert [c for c in splits if len(c.casefold()) == 1] == ["\u0345"]
     assert all(x.isspace() == c.isspace() for c, f in changed for x in f)
     assert all(f.casefold() == f for _, f in changed)
     assert not any(" " in f for _, f in changed)
     assert not any(is_word(c) for c in chars if c.isspace())
     assert [c for c in chars if c.isspace() and c.isprintable()] == [" "]
+
+
+# Characters whose fold is longer: U+00DF ("ss"), which is not fold-split,
+# so a piece searched for one may hold none, and U+0130 and U+1FB6, which
+# are.  U+0345 is fold-split but folds to one character.  Unicode whitespace,
+# a non-word character and invalid bytes, which decode to U+FFFD, check that
+# the fallback's split at whitespace and its UTF-8 give the byte tokens' words.
+_FOLD_MIX = [s.encode("utf-8") for s in ["\u00df", "\u0345", "\u0130", "\u1fb6", "\u2014", "a", "Q", "7", " ", "\n",
+                                         "\u00a0", "\u2028", "\x85", "\ufffd"]] + [b"\xff", b"\xc3", b"\xe2\x82"]
+
+
+@given(st.lists(st.sampled_from(_FOLD_MIX), max_size=40).map(b"".join), st.integers(min_value=1, max_value=16),
+       _configs)
+@example("Q\u0345a \u00df\u2014\u00df".encode("utf-8"), 16, TokenizerConfig())
+@example("\u00df\u0130a \u1fb6\xff\u00df".encode("utf-8"), 3, TokenizerConfig())
+def test_counting_a_mix_of_fold_split_and_longer_folding_characters_equals_tokenize(data, chunk_size, config):
+    expected = _one_shot(data, config)
+    with mock.patch.object(corpus, "CHUNK_SIZE", chunk_size):
+        assert count_table([io.BytesIO(data)], config) == expected
+        if expected:
+            assert count_spectrum([io.BytesIO(data)], config) == freq_of_freq(expected)
+        else:
+            with pytest.raises(EmptyCorpusError):
+                count_spectrum([io.BytesIO(data)], config)
 
 
 @given(

@@ -2,6 +2,7 @@
 
 import math
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -67,6 +68,21 @@ def test_noisy_data_matches_numpy_lstsq():
     coef, *_ = np.linalg.lstsq(np.vstack([xs, np.ones_like(xs)]).T, ys, rcond=None)
     assert fit.a == pytest.approx(-coef[0], abs=1e-10)
     assert fit.b == pytest.approx(coef[1], abs=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_noisy_data_matches_statistics_linear_regression(seed):
+    # a test-only oracle: the package fits without importing statistics
+    rng = random.Random(seed)
+    ks = rng.sample(range(1, 5000), rng.randint(2, 60))
+    pts = {k: math.exp(rng.uniform(2, 9)) * k ** (-rng.uniform(0.5, 2.5)) * (1 + rng.random()) for k in ks}
+    spec = FreqSpectrum.from_points(pts)
+    fit = fit_loglog(spec)
+    xs = [math.log(k) for k in spec.points]
+    ys = [math.log(f) for f in spec.points.values()]
+    slope, intercept = statistics.linear_regression(xs, ys)
+    assert fit.a == pytest.approx(-slope, rel=1e-12)
+    assert fit.b == pytest.approx(intercept, rel=1e-12)
 
 
 def test_fit_invariant_to_point_order():

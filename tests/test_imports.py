@@ -21,7 +21,7 @@ PUBLIC = {
 }
 
 # Modules of the analyze stack that neither sweep nor gen runs
-ANALYZE_ONLY = ("zipfent.corpus", "zipfent.report", "zipfent.fit", "json", "statistics")
+ANALYZE_ONLY = ("zipfent.corpus", "zipfent.report", "zipfent.fit", "json")
 
 
 def fresh_modules(code: str, *flags: str) -> set[str]:
@@ -59,8 +59,9 @@ def test_analyze_does_not_load_synth(tmp_path, flags):
 
 
 # Modules whose import costs a command more than its own work: dataclasses
-# imports inspect, ast, dis and tokenize
-HEAVY = ("dataclasses", "inspect")
+# imports inspect, ast, dis and tokenize, and statistics imports fractions and
+# decimal
+HEAVY = ("dataclasses", "inspect", "statistics", "fractions", "decimal")
 
 # main(argv), which ends in argparse's SystemExit(0) for --help
 RUN_OR_EXIT = """\

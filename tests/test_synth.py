@@ -5,6 +5,7 @@ import io
 import math
 import os
 import tempfile
+import timeit
 from collections import Counter
 from pathlib import Path
 
@@ -321,6 +322,19 @@ def test_rounded_values_past_int64():
 
 def test_law_point_limit_admits_b16_without_building():
     assert _law_points(SyntheticSpec(a=1.0, b=16.0, mode="exact_real")) == 8_886_110 <= MAX_LAW_POINTS
+
+
+def test_the_exact_cell_of_b_16_costs_about_what_b_4_costs():
+    # each cell comes from power sums in closed form, so a=1, b=16 (8.9M
+    # points) takes about as long as b=4 (54 points); a walk over every
+    # point would take 10^5 times as long.  A ratio of two times on one
+    # host holds on any host, where a time bound measures the host
+    def per_call(b, number):
+        n = _law_k_max(1.0, b)
+        return min(timeit.repeat(lambda: synth._exact_cell(1.0, b, n), number=number, repeat=5)) / number
+
+    assert _law_k_max(1.0, 16.0) == 8_886_110 and _law_k_max(1.0, 4.0) == 54
+    assert per_call(16.0, 1) < 50 * per_call(4.0, 20)
 
 
 @pytest.mark.parametrize(
