@@ -15,7 +15,8 @@ from .spectrum import FreqSpectrum
 
 _LN2 = math.log(2)
 
-DEFAULT_CHAIN_TOLERANCE = 1e-9
+# The relative tolerance of every chain check (ChainDiagnostics)
+CHAIN_TOLERANCE = 1e-9
 
 
 class EntropyValue(Record):
@@ -71,7 +72,7 @@ class ChainDiagnostics(Record):
 
     Slacks are oriented so that >= 0 means satisfied.  Each slack is a
     difference of quantities on its own scale, so the tolerance is relative:
-    a check passes when its slack >= -tolerance * scale.
+    a check passes when its slack >= -CHAIN_TOLERANCE * scale.
 
       check           slack                   scale
       sandwich_lower  min_k  k F(k) - e^(b/a)  max(1, e^b)
@@ -86,18 +87,8 @@ class ChainDiagnostics(Record):
     ratio: InequalityResult
     tolerance: float
 
-    def all_ok(self) -> bool:
-        return (
-            self.sandwich_lower.ok
-            and self.sandwich_upper.ok
-            and self.n_bound.ok
-            and self.ratio.ok
-        )
 
-
-def chain_check(
-    spec: FreqSpectrum, a: float, b: float, tolerance: float = DEFAULT_CHAIN_TOLERANCE
-) -> ChainDiagnostics:
+def chain_check(spec: FreqSpectrum, a: float, b: float) -> ChainDiagnostics:
     """Evaluate e^(b/a) <= k F(k) <= e^b, N >= M e^(b/a), and M/N <= e^(-b/a)
     over the stored frequencies.
 
@@ -108,35 +99,25 @@ def chain_check(
     # rounding is monotone, so these equal min(kF - e_lo) and min(e_hi - kF) bit for bit
     kf_min = min(k * f for k, f in spec.points.items())
     kf_max = max(k * f for k, f in spec.points.items())
-    return chain_diagnostics(a, b, kf_min, kf_max, spec.total_tokens, spec.max_k, tolerance)
+    return chain_diagnostics(a, b, kf_min, kf_max, spec.total_tokens, spec.max_k)
 
 
-def chain_diagnostics(
-    a: float,
-    b: float,
-    kf_min: float,
-    kf_max: float,
-    n: float,
-    m: int,
-    tolerance: float = DEFAULT_CHAIN_TOLERANCE,
-) -> ChainDiagnostics:
+def chain_diagnostics(a: float, b: float, kf_min: float, kf_max: float, n: float, m: int) -> ChainDiagnostics:
     """The chain checks of a spectrum given by its extremes: the smallest and
     largest k F(k), the token total N and the largest frequency M."""
     if not a >= 1:
         raise BoundNotApplicableError(a)
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     e_lo = math.exp(b / a)
     e_hi = math.exp(b)
     sandwich_scale = max(1.0, e_hi)
 
     def check(slack: float, scale: float) -> InequalityResult:
-        return InequalityResult(slack=slack, ok=slack >= -tolerance * scale)
+        return InequalityResult(slack=slack, ok=slack >= -CHAIN_TOLERANCE * scale)
 
     return ChainDiagnostics(
         sandwich_lower=check(kf_min - e_lo, sandwich_scale),
         sandwich_upper=check(e_hi - kf_max, sandwich_scale),
         n_bound=check(n - m * e_lo, max(1, n)),
         ratio=check(math.exp(-b / a) - m / n, 1.0),
-        tolerance=tolerance,
+        tolerance=CHAIN_TOLERANCE,
     )

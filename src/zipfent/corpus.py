@@ -44,7 +44,7 @@ from operator import add, itemgetter, mod, not_
 from ._exchange import fork_map as _fork_map
 from ._record import Record
 from .errors import EmptyCorpusError
-from .spectrum import FreqSpectrum, _from_histogram
+from .spectrum import FreqSpectrum
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -168,7 +168,7 @@ def _spectrum(hists: Iterable[Counter[int]]) -> FreqSpectrum | None:
     total: Counter[int] = Counter()
     for hist in hists:
         total.update(hist)
-    return _from_histogram(total) if total else None
+    return FreqSpectrum.from_points(total) if total else None
 
 
 def _count_groups(groups: list[list[Any]], config: TokenizerConfig, finish: Callable[..., Any]) -> list[Any]:
@@ -493,8 +493,8 @@ def _words_of_tokens(tokens: Counter[bytes], config: TokenizerConfig) -> Iterato
     and each batch is yielded as its words and their counts, where a word
     may repeat (U+212A and "K" fold to "k").  A ``str.isalnum`` token, or
     under ``whitespace`` a ``str.isprintable`` one, is one word.  Each other
-    token is split as ``tokenize`` splits it, with its count given to each
-    of its words.
+    token is split as ``tokenize`` splits it, and each distinct word of it
+    is yielded once, with its count in the token times the token's count.
     """
     keys, ns = list(tokens), list(tokens.values())
     tokens.clear()
@@ -519,10 +519,11 @@ def _words_of_tokens(tokens: Counter[bytes], config: TokenizerConfig) -> Iterato
             if whitespace:
                 parts: Iterable[str] = word.split()
             else:
-                parts = _WORD_RE.findall(text)
+                # matched one at a time, so that a long token's words are never listed
+                parts = map(re.Match.group, _WORD_RE.finditer(text))
                 if fold:
                     parts = map(str.casefold, parts)
-            for part in parts:
-                out.append(part)
-                out_ns.append(n)
+            counted = Counter(parts)
+            out += counted
+            out_ns += map(n.__mul__, counted.values())
         yield out, out_ns

@@ -77,15 +77,6 @@ def freq_of_freq(counts: Mapping[str, int]) -> FreqSpectrum:
     return FreqSpectrum.from_points(Counter(counts.values()))
 
 
-def _from_histogram(hist: Counter[int]) -> FreqSpectrum:
-    """The spectrum of a non-empty histogram of word counts, which maps each count k to F(k)."""
-    # positive int F(k) at positive int k, sorted here: valid by
-    # construction, so FreqSpectrum.from_points is skipped
-    points = dict(sorted(hist.items()))
-    total = sum(k * f for k, f in points.items())
-    return FreqSpectrum(points=points, total_tokens=total, max_k=next(reversed(points)))
-
-
 def spectrum_csv(spec: FreqSpectrum) -> Iterator[str]:
     """Spectrum as CSV rows "k,F(k)" in ascending k: the header, then blocks of rows."""
     return _csv_blocks(spec.points.items())

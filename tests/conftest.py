@@ -16,15 +16,20 @@ def random_tokens(rng: random.Random, max_tokens: int = 100, alphabet: int = 12)
     return [rng.choice(words) for _ in range(rng.randint(1, max_tokens))]
 
 
+def chain_ok(diag) -> bool:
+    """Whether all four checks of a ChainDiagnostics pass."""
+    return all(check.ok for check in (diag.sandwich_lower, diag.sandwich_upper, diag.n_bound, diag.ratio))
+
+
 def count_table(files, config=corpus.DEFAULT_CONFIG) -> Counter[str]:
     """The word -> count table of files pooled, counted as ``count_spectrum`` counts them.
 
     Each owner's reduce step, ``corpus._histogram``, returns its words'
-    table in place of the histogram of their counts, and the sum of those
-    is passed on as it is: the owners' words are disjoint, so the sum is
-    the group's table.
+    table in place of the histogram of their counts, and ``corpus._spectrum``
+    returns the sum of those in place of F(k): the owners' words are
+    disjoint, so the sum is the group's table.
     """
     with mock.patch.object(corpus, "_histogram", lambda table: table), \
-            mock.patch.object(corpus, "_from_histogram", lambda table: table):
+            mock.patch.object(corpus, "_spectrum", lambda tables: sum(tables, Counter()) or None):
         table = corpus._count_groups([list(files)], config, lambda g, table: table)[0]
     return Counter() if table is None else table

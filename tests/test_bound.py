@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
-from conftest import random_tokens
-from zipfent.bound import chain_check, entropy, entropy_upper_bound
+from conftest import chain_ok, random_tokens
+from zipfent.bound import CHAIN_TOLERANCE, chain_check, chain_diagnostics, entropy, entropy_upper_bound
 from zipfent.errors import BoundNotApplicableError
 from zipfent.spectrum import FreqSpectrum, freq_of_freq
 
@@ -174,8 +174,8 @@ def law_spectrum(a, b):
 
 def test_chain_passes_on_exact_law():
     for a, b in [(1.0, 4.0), (1.5, 6.0), (2.0, 5.0)]:
-        diag = chain_check(law_spectrum(a, b), a, b, tolerance=1e-9)
-        assert diag.all_ok()
+        diag = chain_check(law_spectrum(a, b), a, b)
+        assert chain_ok(diag)
         # independent evaluation of the worst sandwich slacks
         e_lo, e_hi = math.exp(b / a), math.exp(b)
         products = [k * math.exp(b) * k ** (-a) for k in law_spectrum(a, b).points]
@@ -185,7 +185,7 @@ def test_chain_passes_on_exact_law():
 
 def test_chain_tight_at_slope_one():
     # a = 1 makes k F(k) = e^b on every point: both sandwich slacks vanish
-    diag = chain_check(law_spectrum(1.0, 4.0), 1.0, 4.0, tolerance=0.0)
+    diag = chain_check(law_spectrum(1.0, 4.0), 1.0, 4.0)
     assert abs(diag.sandwich_lower.slack) <= 1e-11
     assert abs(diag.sandwich_upper.slack) <= 1e-11
     assert diag.n_bound.slack == pytest.approx(0.0, abs=1e-9)
@@ -195,14 +195,14 @@ def test_chain_tight_at_slope_one():
 def test_chain_reports_deliberate_violation():
     # k F(k) = 200 at k = 2 while e^b = 4: upper sandwich fails by 196
     spec = FreqSpectrum.from_points({1: 1, 2: 100})
-    diag = chain_check(spec, 1.0, math.log(4), tolerance=1e-9)
+    diag = chain_check(spec, 1.0, math.log(4))
     assert not diag.sandwich_upper.ok
     assert diag.sandwich_upper.slack == pytest.approx(-196.0, abs=1e-9)
     assert not diag.sandwich_lower.ok
     assert diag.sandwich_lower.slack == pytest.approx(-3.0, abs=1e-9)
     # N = 201, M = 2: the tail inequalities still hold
     assert diag.n_bound.ok and diag.ratio.ok
-    assert not diag.all_ok()
+    assert not chain_ok(diag)
 
 
 def test_chain_fit_of_rising_spectrum_is_inapplicable():
@@ -216,9 +216,17 @@ def test_chain_fit_of_rising_spectrum_is_inapplicable():
         chain_check(FreqSpectrum.from_points({1: 1, 2: 100}), fit.a, fit.b)
 
 
-def test_chain_tolerance_validation():
-    with pytest.raises(ValueError):
-        chain_check(law_spectrum(1.0, 2.0), 1.0, 2.0, tolerance=-1e-3)
+def test_every_chain_check_has_the_one_relative_tolerance():
+    # a check passes when its slack >= -CHAIN_TOLERANCE * its scale: here
+    # max(1, e^b) for the sandwich, about 1e6, and 1 for the ratio
+    b = math.log(1e6)
+    e_hi = math.exp(b)
+    for kf_max, ok in ((e_hi + 5e-4, True), (e_hi + 2e-3, False)):
+        diag = chain_diagnostics(1.0, b, e_hi, kf_max, 10 * e_hi, 1)
+        assert diag.sandwich_upper.ok is ok and diag.sandwich_lower.ok
+        assert diag.tolerance == CHAIN_TOLERANCE == 1e-9
+    for m, ok in ((1 + 5e-10 * e_hi, True), (1 + 2e-9 * e_hi, False)):
+        assert chain_diagnostics(1.0, b, e_hi, e_hi, e_hi, m).ratio.ok is ok
 
 
 def _old_sandwich_slacks(spec, a, b):

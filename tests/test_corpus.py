@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -229,6 +230,30 @@ def test_counting_counts_a_long_token_in_linear_time(monkeypatch, data, token_ru
     table = count_table([io.BytesIO(data)], config)
     assert time.perf_counter() - start < 2
     assert table == _one_shot(data, config)
+
+
+def test_the_words_of_a_long_token_are_counted_not_listed():
+    # one 2.7 MB token of 300k CJK words, 207 of them distinct, separated
+    # only by non-ASCII punctuation; under tracemalloc its conversion peaks
+    # at 14 MB, against 30 MB where its words were listed before they were
+    # counted and 58 MB where each occurrence took an entry of the batch
+    rng = random.Random(41)
+    vocabulary = list(dict.fromkeys("".join(chr(0x4E00 + rng.randrange(3000)) for _ in range(rng.randint(1, 3)))
+                                    for _ in range(300)))[:207]
+    words = rng.choices(vocabulary, [1 / r for r in range(1, 208)], k=300_000)
+    token = "".join(word + "\uff0c\u3002\u3001"[i % 3] for i, word in enumerate(words)).encode("utf-8")
+    assert len(token) > 2_600_000 and len(set(words)) == 207
+    tracemalloc.start()
+    try:
+        batches = list(corpus._words_of_tokens(Counter({token: 2}), corpus.DEFAULT_CONFIG))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22e6
+    table: Counter[str] = Counter()
+    for batch, ns in batches:
+        corpus._add(table, batch, ns)
+    assert table == {word: 2 * n for word, n in Counter(words).items()}
 
 
 def test_fold_splits_holds_every_character_whose_case_fold_changes_its_word_runs():
@@ -654,7 +679,7 @@ def test_no_owner_of_a_cut_group_holds_more_than_six_tenths_of_its_words(tmp_pat
     monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 10)
     monkeypatch.setattr(corpus, "_cpu_count", lambda: 2)
     monkeypatch.setattr(corpus, "_histogram", lambda table: Counter({os.getpid(): len(table)}))
-    monkeypatch.setattr(corpus, "_from_histogram", lambda sizes: sizes)
+    monkeypatch.setattr(corpus, "_spectrum", lambda sizes: sum(sizes, Counter()))
     with open(path, "rb") as f:
         ranges = _ranges(corpus._plan([[f]]), f)
         owned = corpus._count_groups([[f]], config, lambda g, sizes: sizes)[0]
@@ -665,6 +690,44 @@ def test_no_owner_of_a_cut_group_holds_more_than_six_tenths_of_its_words(tmp_pat
     assert len(owned) == 2 and os.getpid() in owned
     assert sum(owned.values()) == vocabulary
     assert max(owned.values()) <= 0.6 * vocabulary
+
+
+def test_an_owner_counts_the_words_its_table_lacks_in_a_second_table(tmp_path, monkeypatch):
+    # the two halves of the file share no word, so each owner is sent words
+    # its table lacks; they go to a second table, and the table _count_part
+    # returned keeps its keys, so that it is never resized
+    rng = random.Random(43)
+    halves = [" ".join(f"{prefix}{rng.randrange(400)}" for _ in range(3000)) for prefix in "ab"]
+    data = "\n".join(halves).encode("ascii")
+    path = tmp_path / "big.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 10)
+    monkeypatch.setattr(corpus, "_cpu_count", lambda: 2)
+    count_part, returned = corpus._count_part, {}
+
+    def recording(*args):
+        table, sent = count_part(*args)
+        returned[id(table)] = (table, set(table))
+        return table, sent
+
+    def keys(table):
+        return [(os.getpid(), returned.get(id(table), (None, None))[1], set(table))]
+
+    monkeypatch.setattr(corpus, "_count_part", recording)
+    monkeypatch.setattr(corpus, "_histogram", keys)
+    monkeypatch.setattr(corpus, "_spectrum", lambda tables: sum(tables, []))
+    with open(path, "rb") as f:
+        assert len(corpus._plan([[f]])) == 2
+        tables = corpus._count_groups([[f]], corpus.DEFAULT_CONFIG, lambda g, tables: tables)[0]
+    # each owner's kept table, then its second table, in share order
+    (first, at_return, kept), (first_too, none, new), *child = tables
+    assert first == first_too == os.getpid() and none is None
+    (second, child_at_return, child_kept), (second_too, child_none, child_new) = child
+    assert second == second_too != first and child_none is None
+    assert kept == at_return and child_kept == child_at_return
+    assert new and child_new and not kept & new and not child_kept & child_new
+    owned = [kept | new, child_kept | child_new]
+    assert not owned[0] & owned[1] and owned[0] | owned[1] == set(data.decode("ascii").split())
 
 
 def test_a_large_file_is_one_range_counted_in_process_where_no_fork_may_start(tmp_path, monkeypatch):

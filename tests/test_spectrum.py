@@ -82,17 +82,6 @@ def test_conservation_on_random_corpora():
         assert spec.max_k == max(spec.points) == max(counts.values())
 
 
-def test_the_spectrum_of_a_histogram_equals_the_validated_spectrum():
-    # _from_histogram, which the analyze command finishes with, skips
-    # from_points, whose checks and sums its points pass
-    rng = random.Random(5)
-    for _ in range(50):
-        hist = Counter(Counter(random_tokens(rng, max_tokens=400, alphabet=30)).values())
-        spec = spectrum._from_histogram(hist)
-        assert spec == FreqSpectrum.from_points(dict(hist))
-        assert list(spec.points) == sorted(spec.points)
-
-
 def test_invariant_under_word_relabeling():
     rng = random.Random(11)
     counts = Counter(random_tokens(rng, max_tokens=300, alphabet=20))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import chain_ok
 from zipfent import synth
 from zipfent.bound import chain_check, entropy, entropy_upper_bound
 from zipfent.cli import _MODE_NAMES, main
@@ -182,7 +183,7 @@ def test_chain_passes_on_exact_spectra():
     for a in (1.0, 1.5, 2.0):
         for b in (2.0, 4.0, 6.0):
             spec = generate_spectrum(SyntheticSpec(a=a, b=b, mode="exact_real"))
-            assert chain_check(spec, a, b, tolerance=1e-9).all_ok()
+            assert chain_ok(chain_check(spec, a, b))
 
 
 def test_entropy_never_exceeds_ceiling_on_exact_spectra():
@@ -198,7 +199,7 @@ def test_entropy_never_exceeds_ceiling_on_exact_spectra():
 def test_chain_passes_on_exact_law_at_any_scale(a, b, k_cap):
     # the sandwich slacks are float noise on the scale of e^b: -1.86e-9 at a = 1, b = 16
     spec = generate_spectrum(SyntheticSpec(a=a, b=b, mode="exact_real", k_cap=k_cap))
-    assert chain_check(spec, a, b).all_ok()
+    assert chain_ok(chain_check(spec, a, b))
 
 
 def test_sweep_single_cell_closed_form():
