@@ -179,6 +179,22 @@ def test_a_line_separated_only_by_non_ascii_punctuation_peaks_under_12_times_its
     assert peak * 2**20 <= 12 * len(data)
 
 
+def test_a_line_separated_only_by_non_ascii_whitespace_peaks_under_12_times_its_size(tmp_path):
+    """A line whose words are separated only by U+3000 is one piece of the ASCII pieces, decoded and split at
+    whitespace: its words are matched one at a time, so analyze of 3.6 MB of it peaks under 12 times its size
+    (7 measured; 15 when the piece was split into a list of its words)."""
+    r = random.Random(6)
+    vocabulary = ["".join(chr(0x4E00 + r.randrange(20_000)) for _ in range(r.randint(1, 3))) for _ in range(5000)]
+    words = r.choices(vocabulary, [1 / rank for rank in range(1, 5001)], k=410_000)
+    data = "\u3000".join(words).encode("utf-8")
+    (tmp_path / "line.txt").write_bytes(data)
+    code, out, err, peak = run("analyze", str(tmp_path / "line.txt"))
+    assert code == 0, err
+    print(f"{len(data) / 2**20:.2f} MB on one line, peak {peak:.1f} MB: {peak * 2**20 / len(data):.1f} times its size")
+    assert json.loads(out)["n_tokens"] == len(words)
+    assert peak * 2**20 <= 12 * len(data)
+
+
 def test_sweep_and_gen_take_the_law_of_b_16_in_closed_form_and_in_blocks():
     """sweep computes each cell from power sums, where a walk over the 8.9M points of a=1, b=16 would take seconds;
     gen writes rows a block at a time, so those 8.9M rows peak at most 15 MB above the 55 of b=4."""

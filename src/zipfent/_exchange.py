@@ -17,32 +17,26 @@ if TYPE_CHECKING:
     from typing import Any, BinaryIO
 
 
-def fork_map(count: Callable[..., Any], merge: Callable[..., Any], jobs: list[Any]) -> list[tuple[Any, Any]]:
-    """[(first, second) for each job w]: ``first, sent, kept = count(w, job)``, ``second = merge(kept, received)``.
+def fork_map(count: Callable[..., Any], merge: Callable[..., Any], jobs: list[Any]) -> list[Any]:
+    """[merge(kept, received) for each job w], where ``sent, kept = count(w, job)``.
 
     Each of at least one job runs in a process of its own: this one
     computes job 0 and forks one child for each other.  sent maps the index
     of another job to the bytes it is sent, and received lists the bytes a
-    job is sent, in job order.  A child pickles (ok, (first, sent)) into a
-    pipe of its own, reads received from a second pipe, and pickles (ok,
-    second or its exception) into the first.  This process reads every
-    child's first result before it writes to any child, and passes on the
-    bytes unread: so no process waits to write to one that waits to write,
-    and the exchange cannot deadlock for any number of jobs.  The first
-    failure in job order is raised here, a child that ends without a result
-    is a ChildProcessError, and every child is reaped before this returns or
-    raises.
+    job is sent, in job order; kept stays in the job's process.  A child
+    pickles (ok, sent) into a pipe of its own, reads received from a second
+    pipe, and pickles (ok, its result or its exception) into the first.
+    This process reads every child's sent before it writes to any child,
+    and passes on the bytes unread: so no process waits to write to one that
+    waits to write, and the exchange cannot deadlock for any number of jobs.
+    The first failure in job order is raised here, a child that ends without
+    a result is a ChildProcessError, and every child is reaped before this
+    returns or raises.
     """
     pids: list[int] = []
     outs: list[BinaryIO] = []  # each child's results
     ins: list[BinaryIO] = []  # the bytes each child is sent
     mail: list[list[bytes]] = [[] for _ in jobs]  # the bytes sent to each job, in job order
-
-    def post(first: Any, sent: dict[int, bytes]) -> Any:
-        for to, data in sent.items():
-            mail[to].append(data)
-        return first
-
     done = False
     try:
         for w in range(1, len(jobs)):
@@ -60,9 +54,11 @@ def fork_map(count: Callable[..., Any], merge: Callable[..., Any], jobs: list[An
                 os.close(out_write)
                 os.close(in_read)
             pids.append(pid)
-        first, sent, kept = count(0, jobs[0])
-        firsts = [post(first, sent)] + [post(*_receive(pid, out)) for pid, out in zip(pids, outs)]
-        del first, sent
+        sent, kept = count(0, jobs[0])
+        for sent in [sent, *map(_receive, pids, outs)]:
+            for to, data in sent.items():
+                mail[to].append(data)
+        del sent
         for pid, inbox, received in zip(pids, ins, mail[1:]):
             try:
                 with inbox:
@@ -70,9 +66,9 @@ def fork_map(count: Callable[..., Any], merge: Callable[..., Any], jobs: list[An
             except BrokenPipeError:
                 raise ChildProcessError(f"worker process {pid} ended without a result") from None
             received.clear()
-        seconds = [merge(kept, mail[0])] + list(map(_receive, pids, outs))
+        results = [merge(kept, mail[0])] + list(map(_receive, pids, outs))
         done = True
-        return list(zip(firsts, seconds))
+        return results
     finally:
         for pipe in outs + ins:
             try:
@@ -101,7 +97,7 @@ def _receive(pid: int, pipe: BinaryIO) -> Any:
 
 
 def _serve(count: Callable[..., Any], merge: Callable[..., Any], w: int, job: Any, out_fd: int, in_fd: int) -> None:
-    """In child w of ``fork_map``: pickle count's result to out_fd, read what in_fd sends and pickle merge's.
+    """In child w of ``fork_map``: pickle count's sent to out_fd, read what in_fd sends and pickle merge's result.
 
     Stops after the first failure and leaves with ``os._exit``, so that the
     child runs none of the parent's clean-up and flushes none of its buffers.
@@ -110,12 +106,12 @@ def _serve(count: Callable[..., Any], merge: Callable[..., Any], w: int, job: An
     try:
         with open(out_fd, "wb") as out, open(in_fd, "rb") as inbox:
             try:
-                first, sent, kept = count(w, job)
+                sent, kept = count(w, job)
             except Exception as exc:
                 pickle.dump((False, exc), out, pickle.HIGHEST_PROTOCOL)
             else:
-                pickle.dump((True, (first, sent)), out, pickle.HIGHEST_PROTOCOL)
-                del first, sent
+                pickle.dump((True, sent), out, pickle.HIGHEST_PROTOCOL)
+                del sent
                 # written whole before anything is read
                 out.flush()
                 received = pickle.load(inbox)

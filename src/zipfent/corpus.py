@@ -25,7 +25,8 @@ batches, relayed by this process (``_fork_map``).  Each owner adds the
 batches it receives and reduces its table to a histogram of counts
 (``_histogram``), and this process sums the group's histograms into the
 spectrum F(k) (``_spectrum``).  So no process holds a cut group's whole
-vocabulary, nor does this one fold the others' tables.
+vocabulary, nor does this one fold the others' tables.  Words shorter
+than ``min_token_length`` are routed too, and dropped only by ``_histogram``.
 """
 
 from __future__ import annotations
@@ -155,12 +156,13 @@ def count_spectrum(files: Iterable[BinaryIO], config: TokenizerConfig = DEFAULT_
     return spec
 
 
-def _histogram(table: Counter[str]) -> Counter[int]:
-    """The histogram of a table's counts, which maps each count k to the number of words counted k times.
+def _histogram(table: Counter[str], n: int) -> Counter[int]:
+    """The histogram of the counts of a table's words of at least n characters, mapping k to the words counted k times.
 
-    The one step that reduces the table an owner holds, or a whole group's.
+    The one step that reduces the table an owner holds, or a whole group's,
+    and so the one that drops the words ``tokenize`` drops as short.
     """
-    return Counter(table.values())
+    return Counter(compress(table.values(), map(n.__le__, map(len, table))) if n > 1 else table.values())
 
 
 def _spectrum(hists: Iterable[Counter[int]]) -> FreqSpectrum | None:
@@ -180,11 +182,12 @@ def _count_groups(groups: list[list[Any]], config: TokenizerConfig, finish: Call
     shares of a group cut across several own its words by hash: each keeps
     the table of the words it owns and sends the others' to them in
     batches.  Each owner adds the batches it receives and returns the
-    histogram of its table, and the histograms are summed and the group
-    finished here (``_spectrum``).  Owners' words are disjoint, so that sum
-    is the group's.
+    histogram of its table, with its share's finished groups, and the
+    histograms are summed and the group finished here (``_spectrum``).
+    Owners' words are disjoint, so that sum is the group's.
     """
     shares = _plan(groups)
+    n = config.min_token_length
     owners: dict[int, list[int]] = {}  # the shares that hold each group, which own its words
     for w, share in enumerate(shares):
         for g, _ in groupby(share, itemgetter(0)):
@@ -197,15 +200,16 @@ def _count_groups(groups: list[list[Any]], config: TokenizerConfig, finish: Call
             ws = owners[g]
             table, batches = _count_part(list(items), config, ws.index(w), len(ws))
             if len(ws) == 1:
-                finished.append((g, finish(g, _spectrum([_histogram(table)]))))
+                finished.append((g, finish(g, _spectrum([_histogram(table, n)]))))
                 continue
             kept[g] = table
             for o, out in zip(ws, batches):
                 if out:
                     sent.setdefault(o, []).append((g, out))
-        return finished, {o: pickle.dumps(out, pickle.HIGHEST_PROTOCOL) for o, out in sent.items()}, kept
+        return {o: pickle.dumps(out, pickle.HIGHEST_PROTOCOL) for o, out in sent.items()}, (finished, kept)
 
-    def merge(kept: dict[int, Counter[str]], received: list[bytes]) -> list[tuple[int, list[Counter[int]]]]:
+    def merge(done: tuple[list[tuple[int, Any]], dict[int, Counter[str]]], received: list[bytes]):
+        finished, kept = done  # the share's finished groups, and its owners' tables
         # a word the table lacks is counted apart, so that the table, which
         # holds most words, is never resized
         new = {g: Counter() for g in kept}
@@ -218,7 +222,7 @@ def _count_groups(groups: list[list[Any]], config: TokenizerConfig, finish: Call
                     _add(table, list(compress(words, known)), compress(ns, known))
                     unknown = list(map(not_, known))
                     _add(new[g], list(compress(words, unknown)), compress(ns, unknown))
-        return [(g, [_histogram(table), _histogram(new[g])]) for g, table in kept.items()]
+        return finished, [(g, [_histogram(table, n), _histogram(new[g], n)]) for g, table in kept.items()]
 
     results: dict[int, Any] = {}
     hists: dict[int, list[Counter[int]]] = {g: [] for g, ws in owners.items() if len(ws) > 1}
@@ -239,28 +243,29 @@ def _plan(groups: list[list[Any]]) -> list[list[tuple[int, Any, tuple[int, int, 
 
     Each input is stat-ed once (``_extent``) and none is opened.  The bytes
     of the regular files, concatenated in input order, are cut into W even
-    shares, W being ``_workers`` of one job per group and per
-    ``PARALLEL_MIN_BYTES // 2`` bytes.  A regular file's span is (start,
-    lo, hi, end), for its bytes [start, end) and the share's [lo, hi).  A
-    file of at least ``PARALLEL_MIN_BYTES`` is split at each cut inside it,
-    which the shares move to the next ASCII whitespace byte (``_cut``).  A
-    cut inside a smaller file moves to its end, and an input that is not a
-    regular file has no span.  Those are read whole: a path in the share
-    where it falls, so that it fails in input order; an open file in this
-    process, so that it is left at its end.  A path that is not a regular
-    file (a pipe, a missing file) is planned as the mean size of the
-    regular files, or as one job's bytes where there is none, so that it
-    takes no more cuts than a file beside it.  A share whose cuts all moved
-    to one file's end holds nothing and is dropped, so that no process
-    counts nothing; the first share holds every open file, so it is dropped
-    only where there is none.
+    shares: one per CPU and job up to ``MAX_WORKERS``, a job being a group
+    or ``PARALLEL_MIN_BYTES // 2`` bytes, or one where ``_can_fork`` is
+    false.  A regular file's span is (start, lo, hi, end), for its bytes
+    [start, end) and the share's [lo, hi).  A file of at least
+    ``PARALLEL_MIN_BYTES`` is split at each cut inside it, which the shares
+    move to the next ASCII whitespace byte (``_cut``).  A cut inside a
+    smaller file moves to its end, and an input that is not a regular file
+    has no span.  Those are read whole: a path in the share where it falls,
+    so that it fails in input order; an open file in this process, so that
+    it is left at its end.  A path that is not a regular file (a pipe, a
+    missing file) is planned as the mean size of the regular files, or as
+    one job's bytes where there is none, so that it takes no more cuts than
+    a file beside it.  A share whose cuts all moved to one file's end holds
+    nothing and is dropped, so that no process counts nothing; the first
+    share holds every open file, so it is dropped only where there is none.
     """
     items = [(g, source, _extent(source)) for g, group in enumerate(groups) for source in group]
     regular = [e[1] - e[0] for _, _, e in items if e]
     guess = sum(regular) // len(regular) if regular else PARALLEL_MIN_BYTES // 2
     sizes = [e[1] - e[0] if e else guess if isinstance(s, str) else 0 for _, s, e in items]
     total = sum(sizes)
-    workers = _workers(max(len(groups), total // (PARALLEL_MIN_BYTES // 2)))
+    jobs = max(len(groups), total // (PARALLEL_MIN_BYTES // 2))
+    workers = min(_cpu_count(), jobs, MAX_WORKERS) if _can_fork() else 1
     cuts = [total * w // workers for w in range(1, workers)]
     shares: list[list[tuple[int, Any, tuple[int, int, int, int] | None]]] = [[] for _ in range(workers)]
     w = pos = 0  # the share of the byte at pos in the concatenation
@@ -306,15 +311,16 @@ def _count_part(
     slot: int = 0,
     owners: int = 1,
 ) -> tuple[Counter[str], list[list[tuple[str, list[int]]]]]:
-    """The words of one group's items in one share, without those ``tokenize`` drops as short, by owner.
+    """The words of one group's items in one share, by owner.
 
     The owner of a word is ``hash(word) % owners``, this process being
     owner slot.  Returns the table of the words slot owns, and for each
     owner the batches of the words it owns: each batch is its words joined
-    by spaces and the list of their counts, and a word may repeat.  Every
-    word takes its route as it is made, so no process builds the table of
-    all its words where there are several owners.  A forked process keeps
-    this one's str hash seed, so all agree on the owners.
+    by spaces and the list of their counts, and a word may repeat.  One
+    owner keeps every word.  Where there are several, every word takes its
+    route as it is made, so no process builds the table of all its words.
+    A forked process keeps this one's str hash seed, so all agree on the
+    owners.  Short words are routed too: ``_histogram`` drops them.
 
     A path is opened and closed per item, so no process holds two inputs
     open.  A range of a file of at least ``PARALLEL_MIN_BYTES`` is read with
@@ -351,32 +357,25 @@ def _count_part(
         # a token that is not str.isalnum may hold several words or none
         moved = list(filterfalse(str.isalnum, local))
         _add(tokens, list(map(str.encode, moved)), map(local.pop, moved))
-    n = config.min_token_length
-    if n > 1:  # in place, so that no copy of the table is made to drop them
-        for word in list(compress(local, map(n.__gt__, map(len, local)))):
-            del local[word]
     sent: list[list[tuple[str, list[int]]]] = [[] for _ in range(owners)]
     batches = _words_of_tokens(tokens, config)
-    if owners > 1:
-        # for each owner, the table that maps it to 1 and every other to 0
-        masks = [bytes(b == o for b in range(256)) for o in range(owners)]
-        # the words counted piece by piece are routed as one batch
-        batches = chain([(list(local), list(local.values()))], batches)
-        local = Counter()
-    # else the converted words are added to those counted piece by piece
+    if owners == 1:  # the converted words are added to those counted piece by piece
+        for words, ns in batches:
+            _add(local, words, ns)
+        return local, sent
+    # for each owner, the table that maps it to 1 and every other to 0
+    masks = [bytes(b == o for b in range(256)) for o in range(owners)]
+    # the words counted piece by piece are routed as one batch
+    batches = chain([(list(local), list(local.values()))], batches)
+    local = Counter()
     for words, ns in batches:
-        if n > 1:
-            keep = list(map(n.__le__, map(len, words)))
-            words, ns = list(compress(words, keep)), list(compress(ns, keep))
-        if owners > 1:
-            dest = bytes(map(mod, map(hash, words), repeat(owners)))  # each word's owner
-            for o in range(owners):
-                if o != slot and o in dest:
-                    mask = dest.translate(masks[o])
-                    sent[o].append((" ".join(compress(words, mask)), list(compress(ns, mask))))
-            mask = dest.translate(masks[slot])
-            words, ns = list(compress(words, mask)), list(compress(ns, mask))
-        _add(local, words, ns)
+        dest = bytes(map(mod, map(hash, words), repeat(owners)))  # each word's owner
+        for o in range(owners):
+            mask = dest.translate(masks[o])
+            if o == slot:
+                _add(local, list(compress(words, mask)), compress(ns, mask))
+            elif o in dest:
+                sent[o].append((" ".join(compress(words, mask)), list(compress(ns, mask))))
     return local, sent
 
 
@@ -394,9 +393,15 @@ def _count_into(
     character is never a word character, so they give the words of its
     byte tokens.  Every such character but U+0345 folds to more than one,
     and no character folds to none, so only a piece whose fold is longer,
-    or that holds U+0345, is searched for one.
+    or that holds U+0345, is searched for one.  A piece is at most a chunk
+    and the token carried over, so the tokens of a longer one, which only
+    non-ASCII whitespace separates, are matched one at a time, not listed.
     """
     splits = config.token_rule == "unicode_words" and config.lowercase
+
+    def split(text: str) -> Iterable[str]:
+        return text.split() if len(text) <= 2 * CHUNK_SIZE else map(re.Match.group, re.finditer(r"\S+", text))
+
     for piece in _pieces(chunks, config):
         text = str(piece, "utf-8", "replace")
         # the piece is dropped after decoding, so that a long token is held
@@ -405,10 +410,10 @@ def _count_into(
         folded = text.casefold() if config.lowercase else text
         if splits and (len(folded) != len(text) or "\u0345" in text) and re.search(_FOLD_SPLITS, text):
             del folded
-            tokens.update(map(str.encode, text.split()))
+            tokens.update(map(str.encode, split(text)))
             continue
         del text
-        counts.update(folded.split())
+        counts.update(split(folded))
 
 
 def _pieces(chunks: Iterable[bytes], config: TokenizerConfig) -> Iterator[bytes]:
@@ -438,11 +443,6 @@ def _pieces(chunks: Iterable[bytes], config: TokenizerConfig) -> Iterator[bytes]
         yield pending.pop(0)
         if not raw:
             return
-
-
-def _workers(jobs: int) -> int:
-    """Processes for jobs: one per CPU and job up to ``MAX_WORKERS``, or 1 where ``_can_fork`` is false."""
-    return min(_cpu_count(), jobs, MAX_WORKERS) if _can_fork() else 1
 
 
 def _can_fork() -> bool:

@@ -24,12 +24,15 @@ def chain_ok(diag) -> bool:
 def count_table(files, config=corpus.DEFAULT_CONFIG) -> Counter[str]:
     """The word -> count table of files pooled, counted as ``count_spectrum`` counts them.
 
-    Each owner's reduce step, ``corpus._histogram``, returns its words'
-    table in place of the histogram of their counts, and ``corpus._spectrum``
-    returns the sum of those in place of F(k): the owners' words are
-    disjoint, so the sum is the group's table.
+    Each owner's reduce step, ``corpus._histogram``, returns the table of
+    its words of at least n characters in place of the histogram of their
+    counts, and ``corpus._spectrum`` returns the sum of those in place of
+    F(k): the owners' words are disjoint, so the sum is the group's table.
     """
-    with mock.patch.object(corpus, "_histogram", lambda table: table), \
+    def histogram(table, n):
+        return Counter({word: k for word, k in table.items() if len(word) >= n})
+
+    with mock.patch.object(corpus, "_histogram", histogram), \
             mock.patch.object(corpus, "_spectrum", lambda tables: sum(tables, Counter()) or None):
         table = corpus._count_groups([list(files)], config, lambda g, table: table)[0]
     return Counter() if table is None else table

@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -256,6 +257,30 @@ def test_the_words_of_a_long_token_are_counted_not_listed():
     assert table == {word: 2 * n for word, n in Counter(words).items()}
 
 
+@pytest.mark.parametrize("token_rule", TOKEN_RULES)
+def test_the_words_of_a_long_piece_are_counted_not_listed(token_rule):
+    # one 2.7 MB line of 300k CJK words separated only by U+3000, which is
+    # whitespace but not ASCII, so the line is one piece of _pieces; under
+    # tracemalloc its count peaks at 15 MB, against 28 MB where the piece
+    # was split into a list of its words
+    rng = random.Random(42)
+    vocabulary = ["".join(chr(0x4E00 + rng.randrange(3000)) for _ in range(rng.randint(1, 3))) for _ in range(300)]
+    words = rng.choices(vocabulary, [1 / r for r in range(1, 301)], k=300_000)
+    line = "\u3000".join(words).encode("utf-8")
+    assert len(line) > 2_600_000
+    config = TokenizerConfig(token_rule=token_rule)
+    counts: Counter[str] = Counter()
+    tokens: Counter[bytes] = Counter()
+    tracemalloc.start()
+    try:
+        corpus._count_into(counts, tokens, [line], config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert not tokens and counts == Counter(words)
+
+
 def test_fold_splits_holds_every_character_whose_case_fold_changes_its_word_runs():
     # chunks are case-folded whole and then split; that counts the words a
     # fold of each word would give only where folding keeps every
@@ -363,6 +388,9 @@ def test_byte_ranges_count_to_the_count_of_the_whole_file(prefix, data, config, 
                     for words, ns in pickle.loads(pickle.dumps(batches)):
                         assert owner != w and all(hash(word) % len(shares) == owner for word in words.split(" "))
                         corpus._add(total, words.split(" "), ns)
+    # short words are routed like any other, and dropped where each owner's
+    # table becomes counts
+    total = Counter({word: k for word, k in total.items() if len(word) >= config.min_token_length})
     assert len(shares) == (min(parts, len(data)) if len(data) >= 2 else 1)
     assert len(ranges) == len(shares)
     assert ranges[0][0] == start and ranges[-1][1] == end
@@ -514,8 +542,7 @@ def test_a_shares_words_go_to_their_owners_in_batches(tmp_path, monkeypatch, low
     # batches of 3 tokens, of hundreds of distinct words, so that every
     # owner is sent several whatever the hash seed; the middle range holds
     # only punctuation and spaces, so under unicode_words its share sends
-    # nothing.  A share drops the short words before it routes them, so
-    # none is sent
+    # nothing.  Short words are routed like any other
     rng = random.Random(7)
     marks = " ".join(rng.choice([".", ",", "--", "!?", "\u00ab\u00bb", "\u2014", "(", ")"]) for _ in range(1200))
     data = _spectrum_text(rng, 150) + b"\n" + marks.encode("utf-8") + b"\n" + _spectrum_text(rng, 150)
@@ -534,8 +561,8 @@ def test_a_shares_words_go_to_their_owners_in_batches(tmp_path, monkeypatch, low
         for owner, batches in enumerate(sent):
             for words, ns in batches:
                 assert len(words.split(" ")) == len(ns)
-                assert all(hash(word) % 3 == owner and len(word) >= min_token_length for word in words.split(" "))
-        assert all(hash(word) % 3 == 2 and len(word) >= min_token_length for word in table)
+                assert all(hash(word) % 3 == owner for word in words.split(" "))
+        assert all(hash(word) % 3 == 2 for word in table)
         middle = corpus._count_part(shares[1], config, 1, 3)
         if token_rule == "unicode_words":
             assert middle == (Counter(), [[], [], []])
@@ -678,7 +705,7 @@ def test_no_owner_of_a_cut_group_holds_more_than_six_tenths_of_its_words(tmp_pat
     vocabulary = len(_one_shot(data, config))
     monkeypatch.setattr(corpus, "PARALLEL_MIN_BYTES", 1 << 10)
     monkeypatch.setattr(corpus, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(corpus, "_histogram", lambda table: Counter({os.getpid(): len(table)}))
+    monkeypatch.setattr(corpus, "_histogram", lambda table, n: Counter({os.getpid(): len(table)}))
     monkeypatch.setattr(corpus, "_spectrum", lambda sizes: sum(sizes, Counter()))
     with open(path, "rb") as f:
         ranges = _ranges(corpus._plan([[f]]), f)
@@ -710,7 +737,7 @@ def test_an_owner_counts_the_words_its_table_lacks_in_a_second_table(tmp_path, m
         returned[id(table)] = (table, set(table))
         return table, sent
 
-    def keys(table):
+    def keys(table, n):
         return [(os.getpid(), returned.get(id(table), (None, None))[1], set(table))]
 
     monkeypatch.setattr(corpus, "_count_part", recording)
@@ -748,6 +775,29 @@ def test_a_large_file_is_one_range_counted_in_process_where_no_fork_may_start(tm
         assert corpus._plan([[f]]) == [[(0, f, (7, 7, len(data), len(data)))]]
         assert count_table([f]) == expected
         assert f.tell() == len(data)
+
+
+def test_a_large_file_is_one_share_counted_in_process_while_another_thread_runs(tmp_path, monkeypatch):
+    # a forked child would not have the other thread, so no fork map starts
+    data = _random_text(5, 4000)
+    path = tmp_path / "big.txt"
+    path.write_bytes(data)
+    _split_in_three(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("forked while another thread ran")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    stop = threading.Event()
+    waiting = threading.Thread(target=stop.wait)
+    waiting.start()
+    try:
+        with open(path, "rb") as f:
+            assert len(corpus._plan([[f]])) == 1
+            assert count_table([f]) == _one_shot(data, corpus.DEFAULT_CONFIG)
+    finally:
+        stop.set()
+        waiting.join()
 
 
 def test_plan_cuts_the_bytes_of_all_inputs_into_even_shares(tmp_path, monkeypatch):
@@ -857,10 +907,10 @@ def _mail(jobs: int):
     parent = os.getpid()
 
     def count(w, job):
-        return (job * job, os.getpid() == parent), {o: f"{w}->{o}".encode() for o in range(jobs) if o != w}, w
+        return {o: f"{w}->{o}".encode() for o in range(jobs) if o != w}, (w, job * job, os.getpid() == parent)
 
     def merge(kept, received):
-        return kept, [data.decode() for data in received], os.getpid() == parent
+        return (*kept, [data.decode() for data in received], os.getpid() == parent)
 
     return count, merge
 
@@ -869,10 +919,10 @@ def _mail(jobs: int):
 def test_fork_map_exchanges_in_job_order_with_the_parent_taking_job_zero(jobs):
     count, merge = _mail(jobs)
     results = corpus._fork_map(count, merge, list(range(10, 10 + jobs)))
-    assert [first for (first, _), _ in results] == [j * j for j in range(10, 10 + jobs)]
+    assert [square for _, square, *_ in results] == [j * j for j in range(10, 10 + jobs)]
     # each job runs in a process of its own, this one computing job 0, and
     # is sent the bytes of every other job, in job order
-    for w, ((_, counted_here), (kept, received, merged_here)) in enumerate(results):
+    for w, (kept, _, counted_here, received, merged_here) in enumerate(results):
         assert counted_here == merged_here == (w == 0)
         assert (kept, received) == (w, [f"{o}->{w}" for o in range(jobs) if o != w])
     _assert_no_child_left()
@@ -888,9 +938,9 @@ def test_fork_map_exchanges_more_than_a_pipe_holds_among_8_processes_in_bounded_
               "def note(w, o):\n"
               "    return hashlib.sha256(b'%d->%d' % (w, o)).digest() * (1 << 13)\n"
               "def count(w, job):\n"
-              "    return os.getpid(), {o: note(w, o) for o in range(n) if o != w}, w\n"
+              "    return {o: note(w, o) for o in range(n) if o != w}, w\n"
               "def merge(w, received):\n"
-              "    return received == [note(o, w) for o in range(n) if o != w]\n"
+              "    return os.getpid(), received == [note(o, w) for o in range(n) if o != w]\n"
               "results = corpus._fork_map(count, merge, list(range(n)))\n"
               "assert len({pid for pid, _ in results}) == n and all(ok for _, ok in results)\n"
               "try:\n"
@@ -916,8 +966,8 @@ def _fail_at(stage: str, bad: set[int]):
         return count(w, job)
 
     def failing_merge(kept, received):
-        if stage == "merge" and kept in bad:
-            fail(kept)
+        if stage == "merge" and kept[0] in bad:
+            fail(kept[0])
         return merge(kept, received)
 
     return failing_count, failing_merge
@@ -942,7 +992,7 @@ def test_fork_map_child_without_a_result_is_an_os_error(stage):
         return count(w, job)
 
     def leaving_merge(kept, received):
-        if stage == "merge" and kept == 1:
+        if stage == "merge" and kept[0] == 1:
             os._exit(0)
         return merge(kept, received)
 
@@ -959,13 +1009,13 @@ class _Killer:
 
 
 def test_fork_map_child_killed_while_it_writes_is_an_os_error():
-    # the large first part of the result reaches the pipe before the child
-    # dies, so the parent reads a result cut short
+    # the large first part of what the child sends reaches the pipe before
+    # it dies, so the parent reads a result cut short
     count, merge = _mail(3)
 
     def killed_count(w, job):
-        first, sent, kept = count(w, job)
-        return ([b"x" * (1 << 20), _Killer()] if w == 2 else first), sent, kept
+        sent, kept = count(w, job)
+        return ({**sent, 0: [b"x" * (1 << 20), _Killer()]} if w == 2 else sent), kept
 
     with pytest.raises(ChildProcessError, match="ended without a result"):
         corpus._fork_map(killed_count, merge, list(range(3)))
